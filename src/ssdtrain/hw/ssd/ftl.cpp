@@ -1,49 +1,92 @@
 #include "ssdtrain/hw/ssd/ftl.hpp"
 
 #include <algorithm>
+#include <new>
 #include <stdexcept>
+
+#include <sys/mman.h>
 
 #include "ssdtrain/util/check.hpp"
 
 namespace ssdtrain::hw {
 
-Ftl::Ftl(NandGeometry geometry) : geometry_(geometry) {
+void detail::Unmap::operator()(std::int64_t* table) const noexcept {
+  ::munmap(table, bytes);
+}
+
+namespace {
+
+/// A table of \p entries zeros in anonymous memory: the kernel maps a page
+/// on its first write, so untouched entries cost no memory. calloc is not
+/// enough: once glibc's adaptive mmap threshold grows past the table size,
+/// calloc serves it from reused heap and zero-fills it eagerly.
+detail::ZeroedTable zeroed_table(std::int64_t entries) {
+  const std::size_t bytes =
+      static_cast<std::size_t>(std::max<std::int64_t>(entries, 1)) *
+      sizeof(std::int64_t);
+  void* table = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (table == MAP_FAILED) throw std::bad_alloc();
+  return detail::ZeroedTable(static_cast<std::int64_t*>(table),
+                             detail::Unmap{bytes});
+}
+
+}  // namespace
+
+Ftl::Ftl(NandGeometry geometry)
+    : geometry_(geometry), logical_pages_(geometry.logical_pages()) {
   util::expects(geometry_.physical_blocks > kGcFreeBlockThreshold + 1,
                 "too few blocks");
   util::expects(geometry_.pages_per_block > 0, "bad pages_per_block");
-  blocks_.resize(static_cast<std::size_t>(geometry_.physical_blocks));
-  for (auto& block : blocks_) {
-    block.page_owner.assign(
-        static_cast<std::size_t>(geometry_.pages_per_block), -1);
-  }
-  free_blocks_.resize(blocks_.size());
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+  const auto n = static_cast<std::size_t>(geometry_.physical_blocks);
+  blocks_.resize(n);
+  page_owner_ = zeroed_table(static_cast<std::int64_t>(n) *
+                             geometry_.pages_per_block);
+  map_ = zeroed_table(logical_pages_);
+  free_blocks_.resize(n);
+  free_tree_.resize(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
     free_blocks_[i] = static_cast<int>(i);
+    free_tree_[n + i] = i;  // erase count 0, position i
   }
-  map_.assign(static_cast<std::size_t>(geometry_.logical_pages()),
-              PhysicalAddress{});
-}
-
-std::int64_t Ftl::logical_pages() const {
-  return static_cast<std::int64_t>(map_.size());
+  for (std::size_t i = n - 1; i >= 1; --i) {
+    free_tree_[i] = std::min(free_tree_[2 * i], free_tree_[2 * i + 1]);
+  }
+  gc_survivors_.reserve(static_cast<std::size_t>(geometry_.pages_per_block));
 }
 
 bool Ftl::is_mapped(Lpa lpa) const {
-  util::expects(lpa >= 0 && lpa < logical_pages(), "LPA out of range");
-  return map_[static_cast<std::size_t>(lpa)].block >= 0;
+  util::expects(lpa >= 0 && lpa < logical_pages_, "LPA out of range");
+  return map_[lpa] != 0;
+}
+
+Ftl::Placement Ftl::placement(Lpa lpa) const {
+  util::expects(lpa >= 0 && lpa < logical_pages_, "LPA out of range");
+  const std::int64_t slot = map_[lpa];
+  if (slot == 0) return {};
+  const std::int64_t physical = slot - 1;
+  return {static_cast<int>(physical / geometry_.pages_per_block),
+          static_cast<int>(physical % geometry_.pages_per_block)};
+}
+
+int Ftl::erase_count(int block) const {
+  util::expects(block >= 0 && block < geometry_.physical_blocks,
+                "block out of range");
+  return blocks_[static_cast<std::size_t>(block)].erase_count;
 }
 
 void Ftl::write_page(Lpa lpa) {
-  util::expects(lpa >= 0 && lpa < logical_pages(), "LPA out of range");
-  auto& slot = map_[static_cast<std::size_t>(lpa)];
-  if (slot.block >= 0) {
-    // Overwrite: invalidate the previous physical copy.
-    auto& old_block = blocks_[static_cast<std::size_t>(slot.block)];
-    old_block.page_owner[static_cast<std::size_t>(slot.page)] = -1;
-    --old_block.valid_count;
+  util::expects(lpa >= 0 && lpa < logical_pages_, "LPA out of range");
+  std::int64_t& slot = map_[lpa];
+  if (slot != 0) {
+    // Overwrite: invalidate the previous physical copy. The LPA stays
+    // unmapped until the append lands, so a worn-out throw from GC cannot
+    // leave it pointing at a block that GC erased meanwhile.
+    invalidate(slot - 1);
+    slot = 0;
   }
   ++host_pages_written_;
-  slot = append_page(lpa);
+  slot = append_page(lpa) + 1;
 }
 
 void Ftl::write_extent(Lpa first, std::int64_t count) {
@@ -52,13 +95,11 @@ void Ftl::write_extent(Lpa first, std::int64_t count) {
 }
 
 void Ftl::trim_page(Lpa lpa) {
-  util::expects(lpa >= 0 && lpa < logical_pages(), "LPA out of range");
-  auto& slot = map_[static_cast<std::size_t>(lpa)];
-  if (slot.block < 0) return;  // already unmapped
-  auto& block = blocks_[static_cast<std::size_t>(slot.block)];
-  block.page_owner[static_cast<std::size_t>(slot.page)] = -1;
-  --block.valid_count;
-  slot = PhysicalAddress{};
+  util::expects(lpa >= 0 && lpa < logical_pages_, "LPA out of range");
+  std::int64_t& slot = map_[lpa];
+  if (slot == 0) return;  // already unmapped
+  invalidate(slot - 1);
+  slot = 0;
 }
 
 void Ftl::trim_extent(Lpa first, std::int64_t count) {
@@ -66,7 +107,25 @@ void Ftl::trim_extent(Lpa first, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) trim_page(first + i);
 }
 
-Ftl::PhysicalAddress Ftl::append_page(Lpa lpa) {
+void Ftl::invalidate(std::int64_t physical_page) {
+  page_owner_[physical_page] = 0;
+  --blocks_[static_cast<std::size_t>(physical_page /
+                                     geometry_.pages_per_block)]
+        .valid_count;
+}
+
+std::int64_t Ftl::program_page(int block_index, Lpa lpa) {
+  auto& block = blocks_[static_cast<std::size_t>(block_index)];
+  const std::int64_t physical =
+      static_cast<std::int64_t>(block_index) * geometry_.pages_per_block +
+      block.write_pointer++;
+  page_owner_[physical] = lpa + 1;
+  ++block.valid_count;
+  ++media_pages_written_;
+  return physical;
+}
+
+std::int64_t Ftl::append_page(Lpa lpa) {
   if (open_block_ < 0 ||
       blocks_[static_cast<std::size_t>(open_block_)].write_pointer >=
           geometry_.pages_per_block) {
@@ -80,57 +139,60 @@ Ftl::PhysicalAddress Ftl::append_page(Lpa lpa) {
     fresh.state = BlockState::open;
     fresh.write_pointer = 0;
   }
-  auto& block = blocks_[static_cast<std::size_t>(open_block_)];
-  const int page = block.write_pointer++;
-  block.page_owner[static_cast<std::size_t>(page)] = lpa;
-  ++block.valid_count;
-  ++media_pages_written_;
-  return PhysicalAddress{open_block_, page};
+  return program_page(open_block_, lpa);
 }
 
-Ftl::PhysicalAddress Ftl::gc_append_page(Lpa lpa) {
+std::int64_t Ftl::gc_append_page(Lpa lpa) {
   if (gc_block_ < 0 ||
       blocks_[static_cast<std::size_t>(gc_block_)].write_pointer >=
           geometry_.pages_per_block) {
     if (gc_block_ >= 0) {
       blocks_[static_cast<std::size_t>(gc_block_)].state = BlockState::closed;
     }
-    // GC erases its victim before relocating, so a free block always
-    // exists here (the victim itself in the worst case).
+    // ensure_free_block checked before the erase that a free block exists
+    // here (the victim itself when it did not retire).
     gc_block_ = take_free_block();
     auto& fresh = blocks_[static_cast<std::size_t>(gc_block_)];
     fresh.state = BlockState::open;
     fresh.write_pointer = 0;
   }
-  auto& block = blocks_[static_cast<std::size_t>(gc_block_)];
-  const int page = block.write_pointer++;
-  block.page_owner[static_cast<std::size_t>(page)] = lpa;
-  ++block.valid_count;
-  ++media_pages_written_;
-  return PhysicalAddress{gc_block_, page};
+  return program_page(gc_block_, lpa);
 }
 
 void Ftl::ensure_free_block() {
+  const int pages = geometry_.pages_per_block;
   while (static_cast<int>(free_blocks_.size()) <= kGcFreeBlockThreshold) {
     const int victim = pick_victim();
     if (victim < 0) {
       throw std::runtime_error(
           "FTL: device worn out (no GC victim available)");
     }
-    ++gc_runs_;
     auto& vb = blocks_[static_cast<std::size_t>(victim)];
+    // A victim has at least one invalid page, so its survivors fit in the
+    // GC block's remaining room plus one fresh block. That block is missing
+    // only when the free list is empty and the victim retires on this
+    // erase; report wear-out before erasing so no mapping is stranded.
+    const int room =
+        gc_block_ < 0
+            ? 0
+            : pages - blocks_[static_cast<std::size_t>(gc_block_)]
+                          .write_pointer;
+    if (vb.valid_count > room && free_blocks_.empty() &&
+        vb.erase_count + 1 >= geometry_.pe_cycle_limit) {
+      throw std::runtime_error(
+          "FTL: device worn out (no free block for GC relocation)");
+    }
+    ++gc_runs_;
     // Relocate still-valid pages. This is where write amplification comes
     // from: each relocated page is a media write with no host write.
-    std::vector<Lpa> survivors;
-    survivors.reserve(static_cast<std::size_t>(vb.valid_count));
-    for (int p = 0; p < geometry_.pages_per_block; ++p) {
-      const Lpa owner = vb.page_owner[static_cast<std::size_t>(p)];
-      if (owner >= 0) survivors.push_back(owner);
+    gc_survivors_.clear();
+    const std::int64_t base = static_cast<std::int64_t>(victim) * pages;
+    for (int p = 0; p < pages; ++p) {
+      const std::int64_t owner = page_owner_[base + p];
+      if (owner != 0) gc_survivors_.push_back(owner - 1);
     }
     erase_block(victim);
-    for (Lpa lpa : survivors) {
-      map_[static_cast<std::size_t>(lpa)] = gc_append_page(lpa);
-    }
+    for (Lpa lpa : gc_survivors_) map_[lpa] = gc_append_page(lpa) + 1;
   }
 }
 
@@ -158,7 +220,8 @@ void Ftl::erase_block(int block_index) {
   auto& block = blocks_[static_cast<std::size_t>(block_index)];
   ++block.erase_count;
   ++blocks_erased_;
-  std::fill(block.page_owner.begin(), block.page_owner.end(), -1);
+  // Owner slots keep their stale values: the block is read again only once
+  // it has been reopened and filled, which rewrites every slot.
   block.valid_count = 0;
   block.write_pointer = 0;
   if (block.erase_count >= geometry_.pe_cycle_limit) {
@@ -168,19 +231,33 @@ void Ftl::erase_block(int block_index) {
   }
   block.state = BlockState::free;
   free_blocks_.push_back(block_index);
+  refresh_free_slot(free_blocks_.size() - 1);
+}
+
+void Ftl::refresh_free_slot(std::size_t pos) {
+  std::size_t node = blocks_.size() + pos;
+  if (pos < free_blocks_.size()) {
+    const auto erases = static_cast<std::uint64_t>(
+        blocks_[static_cast<std::size_t>(free_blocks_[pos])].erase_count);
+    free_tree_[node] = (erases << 32) | pos;
+  } else {
+    free_tree_[node] = kNoFreeSlot;
+  }
+  for (node /= 2; node >= 1; node /= 2) {
+    free_tree_[node] = std::min(free_tree_[2 * node], free_tree_[2 * node + 1]);
+  }
 }
 
 int Ftl::take_free_block() {
   util::check(!free_blocks_.empty(), "no free block");
-  // Wear levelling: open the least-worn free block.
-  auto it = std::min_element(
-      free_blocks_.begin(), free_blocks_.end(), [this](int a, int b) {
-        return blocks_[static_cast<std::size_t>(a)].erase_count <
-               blocks_[static_cast<std::size_t>(b)].erase_count;
-      });
-  const int chosen = *it;
-  *it = free_blocks_.back();
+  // The tree root packs (erase count, position), so its low half is the
+  // first free-list position holding the least-worn block.
+  const auto pos = static_cast<std::size_t>(free_tree_[1] & 0xffffffffU);
+  const int chosen = free_blocks_[pos];
+  free_blocks_[pos] = free_blocks_.back();
   free_blocks_.pop_back();
+  refresh_free_slot(pos);
+  if (pos != free_blocks_.size()) refresh_free_slot(free_blocks_.size());
   return chosen;
 }
 
@@ -190,10 +267,11 @@ double Ftl::write_amplification() const {
          static_cast<double>(host_pages_written_);
 }
 
+// Every erase bumps exactly one block's count, so blocks_erased_ is the sum
+// of the per-block erase counts.
 double Ftl::mean_erase_count() const {
-  double sum = 0.0;
-  for (const auto& block : blocks_) sum += block.erase_count;
-  return sum / static_cast<double>(blocks_.size());
+  return static_cast<double>(blocks_erased_) /
+         static_cast<double>(blocks_.size());
 }
 
 int Ftl::max_erase_count() const {
@@ -212,9 +290,7 @@ double Ftl::wear_fraction() const {
   const double budget = static_cast<double>(geometry_.pe_cycle_limit) *
                         static_cast<double>(blocks_.size());
   if (budget <= 0.0) return 1.0;
-  double consumed = 0.0;
-  for (const auto& block : blocks_) consumed += block.erase_count;
-  return consumed / budget;
+  return static_cast<double>(blocks_erased_) / budget;
 }
 
 }  // namespace ssdtrain::hw

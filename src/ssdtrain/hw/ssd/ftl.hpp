@@ -9,8 +9,15 @@
 /// streams and freed wholesale (WAF ≈ 1); this simulator lets tests verify
 /// that claim instead of assuming it, and lets us demonstrate the contrast
 /// with the JESD-style random preconditioned workload (WAF ≫ 1).
+///
+/// Both per-page tables (the lpa → physical map and the owner slot of every
+/// physical page) live in zero-filled storage where 0 means unmapped or
+/// invalid, so a drive costs O(blocks) memory until pages are written. The
+/// wear-levelling pick runs in O(log blocks) through a min tournament tree
+/// over the free list.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ssdtrain/hw/ssd/nand.hpp"
@@ -20,6 +27,16 @@ namespace ssdtrain::hw {
 
 /// Logical page address.
 using Lpa = std::int64_t;
+
+namespace detail {
+/// Releases an anonymous mapping of \p bytes.
+struct Unmap {
+  std::size_t bytes = 0;
+  void operator()(std::int64_t* table) const noexcept;
+};
+/// A table of int64 entries in anonymous zero pages (see ftl.cpp).
+using ZeroedTable = std::unique_ptr<std::int64_t[], Unmap>;
+}  // namespace detail
 
 class Ftl {
  public:
@@ -40,7 +57,15 @@ class Ftl {
   void trim_extent(Lpa first, std::int64_t count);
 
   [[nodiscard]] bool is_mapped(Lpa lpa) const;
-  [[nodiscard]] std::int64_t logical_pages() const;
+  [[nodiscard]] std::int64_t logical_pages() const { return logical_pages_; }
+
+  /// Where a logical page lives on the media; {-1, -1} when unmapped.
+  struct Placement {
+    int block = -1;
+    int page = -1;
+  };
+  [[nodiscard]] Placement placement(Lpa lpa) const;
+  [[nodiscard]] int erase_count(int block) const;
 
   // -- statistics ------------------------------------------------------------
   [[nodiscard]] std::int64_t host_pages_written() const {
@@ -72,22 +97,22 @@ class Ftl {
     int erase_count = 0;
     int write_pointer = 0;  ///< next page slot in an open block
     int valid_count = 0;
-    std::vector<Lpa> page_owner;  ///< lpa per page slot, -1 if invalid
-  };
-
-  struct PhysicalAddress {
-    int block = -1;
-    int page = -1;
   };
 
   /// Appends one page to the host open block (opening a fresh one as
-  /// needed) and returns where it landed. Media-write accounting happens
-  /// here.
-  PhysicalAddress append_page(Lpa lpa);
+  /// needed) and returns the physical page it landed on. Media-write
+  /// accounting happens here.
+  std::int64_t append_page(Lpa lpa);
 
   /// Appends a GC-relocated page. GC uses a dedicated open block so
   /// relocation never re-enters GC through the host append path.
-  PhysicalAddress gc_append_page(Lpa lpa);
+  std::int64_t gc_append_page(Lpa lpa);
+
+  /// Programs \p lpa into the next slot of open block \p block.
+  std::int64_t program_page(int block, Lpa lpa);
+
+  /// Drops the physical copy at \p physical_page (overwrite or TRIM).
+  void invalidate(std::int64_t physical_page);
 
   /// Ensures a free block is available, running GC as required.
   void ensure_free_block();
@@ -97,12 +122,33 @@ class Ftl {
   int pick_victim() const;
 
   void erase_block(int block_index);
-  int take_free_block();  ///< lowest-erase-count free block (wear levelling)
+
+  /// Lowest-erase-count free block (wear levelling); among equals, the one
+  /// at the lowest free-list position. Swap-with-back removal.
+  int take_free_block();
+
+  /// Recomputes the tournament leaf for free-list position \p pos and its
+  /// path to the root.
+  void refresh_free_slot(std::size_t pos);
 
   NandGeometry geometry_;
+  std::int64_t logical_pages_ = 0;
   std::vector<BlockInfo> blocks_;
-  std::vector<PhysicalAddress> map_;  ///< lpa -> physical, block == -1 if unmapped
+  /// Flat page-owner arena, block-major: lpa + 1 per physical page slot,
+  /// 0 if invalid. Slots of an erased block keep stale values until they
+  /// are programmed again; only closed (full) blocks are ever read.
+  detail::ZeroedTable page_owner_;
+  /// lpa -> physical page index (block * pages_per_block + page) + 1,
+  /// 0 if unmapped.
+  detail::ZeroedTable map_;
   std::vector<int> free_blocks_;
+  /// Min tournament tree over free_blocks_ positions: node i >= 1 holds the
+  /// minimum of nodes 2i and 2i+1, leaf n + pos holds
+  /// (erase count << 32 | pos), or kNoFreeSlot past the end of the list.
+  /// The root is therefore the least-worn block at the lowest position.
+  std::vector<std::uint64_t> free_tree_;
+  static constexpr std::uint64_t kNoFreeSlot = ~std::uint64_t{0};
+  std::vector<Lpa> gc_survivors_;  ///< GC scratch, reserved once
   int open_block_ = -1;
   int gc_block_ = -1;
   std::int64_t host_pages_written_ = 0;
