@@ -4,12 +4,10 @@
 #include <string>
 #include <utility>
 
-#include "ssdtrain/ckpt/writer.hpp"
 #include "ssdtrain/parallel/collectives.hpp"
 #include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/label.hpp"
-#include "ssdtrain/util/logging.hpp"
 
 namespace ssdtrain::runtime {
 
@@ -17,34 +15,21 @@ namespace ssdtrain::runtime {
 /// offloader, cache, plan, compute stream, and recorded program. Indexed by
 /// virtual stage vs = chunk * pipeline_parallel + gpu.
 struct ClusterSession::StageContext {
-  enum class Mode : std::uint8_t { trace, record, replay };
-
   int gpu = 0;
   int chunk = 0;
   std::unique_ptr<modules::Model> model;
   std::unique_ptr<Executor> executor;
-  std::unique_ptr<core::Offloader> offloader;
-  std::unique_ptr<core::TensorCache> cache;
-  std::optional<core::OffloadPlan> plan;
-  /// Planner inputs kept for post-fault rebalancing (offloading stages).
-  core::PlannerInputs planner_inputs;
-  core::OffloaderStats last_offloader;  ///< snapshot for per-step deltas
+  Stage stage;  ///< offload stack and step program
   /// This chunk's forwards/backwards in stage order, closed by its own
   /// optimizer command — the schedule its StepProgram is recorded against.
   std::vector<sched::Command> compute_schedule;
-  /// The active program: this stage's sealed recording, or a program-cache
-  /// hit (possibly recorded by another process).
-  std::shared_ptr<const StepProgram> program;
-  /// In-flight recording; promoted to `program` when it seals replayable.
-  std::shared_ptr<StepProgram> recording;
   /// This stage's program-cache fingerprint (empty without a cache).
   ProgramKey cache_key;
-  bool program_from_cache = false;
-  bool replay_dead = false;  ///< recording came back non-replayable
 
   // Per-step driver state.
-  Mode mode = Mode::trace;
+  Stage::StepMode mode = Stage::StepMode::trace;
   std::size_t cursor = 0;  ///< next compute_schedule index
+  std::shared_ptr<StepProgram> recording;  ///< in-flight (record mode)
   Executor::StepBaseline baseline;
   sim::CompletionPtr pre_optimizer;
   sim::CompletionPtr step_end;
@@ -184,16 +169,9 @@ StepStats merge_cluster_stats(const std::vector<StageStepStats>& stages,
 }  // namespace
 
 ClusterSession::ClusterSession(ClusterConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      ledger_(config_.checkpoint, config_.faults) {
   config_.parallel.validate();
-  config_.checkpoint.validate();
-  for (const fault::FaultSpec& spec : config_.faults.specs) {
-    util::expects(!spec.rolls_back() || config_.checkpoint.enabled(),
-                  "--faults: stage-crash lose=state is only recoverable "
-                  "from a committed checkpoint — configure a checkpoint "
-                  "policy (--ckpt-interval N or --ckpt-auto with --mtbf) "
-                  "or drop lose=state");
-  }
   util::expects(config_.micro_batches >= 1, "need at least one micro-batch");
   util::expects(config_.virtual_stages >= 1,
                 "need at least one virtual stage");
@@ -225,9 +203,6 @@ ClusterSession::ClusterSession(ClusterConfig config)
   boundary_bytes_ = config_.model.seq * config_.model.micro_batch *
                     config_.model.hidden * 2;
 
-  const bool offloading = config_.strategy == Strategy::ssdtrain ||
-                          config_.strategy == Strategy::ssdtrain_cpu ||
-                          config_.strategy == Strategy::ssdtrain_recompute;
   lanes_.reserve(static_cast<std::size_t>(pp));
   for (int s = 0; s < pp; ++s) {
     GpuLane lane;
@@ -247,17 +222,21 @@ ClusterSession::ClusterSession(ClusterConfig config)
           util::label("gpu", s) + ":dp_port", config_.dp_fabric_bandwidth);
       if (injector_ != nullptr) injector_->bind_dp_resource(s, lane.dp_port);
     }
-    if (offloading && config_.install_malloc_hook) {
-      lane.malloc_hook = std::make_unique<core::CudaMallocHookLibrary>();
-      lane.malloc_hook->install(*node_->gpu(s).allocator);
-    }
+    lane.malloc_hook = Stage::install_malloc_hook(config_, *node_, s);
     lanes_.push_back(std::move(lane));
   }
 
   contexts_.reserve(static_cast<std::size_t>(vs_count));
-  util::Bytes cpu_budget = 0;
-  for (int vs = 0; vs < vs_count; ++vs) cpu_budget += build_stage(vs);
+  for (int vs = 0; vs < vs_count; ++vs) build_stage(vs);
 
+  // Each virtual stage checkpoints its weight slice plus its share of the
+  // optimizer state (1/dp when ZeRO shards the states across the DP group).
+  ledger_.open(*node_, config_.use_gds, injector_.get());
+  const double opt_shard =
+      config_.parallel.zero == parallel::ZeroStage::none
+          ? 1.0
+          : 1.0 / config_.parallel.data_parallel;
+  util::Bytes budget = 0;
   recv_counts_.assign(static_cast<std::size_t>(vs_count), 0);
   for (int vs = 0; vs < vs_count; ++vs) {
     const auto& ctx = contexts_[static_cast<std::size_t>(vs)];
@@ -265,42 +244,18 @@ ClusterSession::ClusterSession(ClusterConfig config)
         ctx.model->forward_recv_tensors();
     util::expects(vs == 0 || recv_counts_[static_cast<std::size_t>(vs)] > 0,
                   "non-first virtual stage receives no boundary tensors");
-    lanes_[static_cast<std::size_t>(ctx.gpu)].param_bytes +=
+    const util::Bytes weights =
         ctx.model->parameter_bytes(config_.parallel.tensor_parallel);
+    lanes_[static_cast<std::size_t>(ctx.gpu)].param_bytes += weights;
+    ledger_.add_stage(ctx.gpu, ctx.chunk, weights, opt_shard);
+    budget += ctx.stage.offload_budget();
   }
-
-  if (config_.checkpoint.enabled()) {
-    ckpt_writer_ = std::make_unique<ckpt::CheckpointWriter>(*node_,
-                                                            config_.use_gds);
-    // Each virtual stage checkpoints its fp16 weight slice plus its share
-    // of the fp32 optimizer state (12 B per parameter, cut to 1/dp when
-    // ZeRO shards the states across the DP group).
-    const double opt_shard =
-        config_.parallel.zero == parallel::ZeroStage::none
-            ? 1.0
-            : 1.0 / config_.parallel.data_parallel;
-    for (const auto& ctx : contexts_) {
-      const util::Bytes weights =
-          ctx.model->parameter_bytes(config_.parallel.tensor_parallel);
-      ckpt_writer_->add_stage(
-          ctx.gpu, ctx.chunk, weights,
-          static_cast<util::Bytes>(6.0 * static_cast<double>(weights) *
-                                   opt_shard));
-    }
-  }
-
-  if (config_.strategy == Strategy::ssdtrain_cpu) {
-    // Shared pinned pool sized for every stage's budget, with the same
-    // in-flight headroom the single-GPU session applies.
-    const auto pool = static_cast<util::Bytes>(
-        static_cast<double>(cpu_budget) * 1.25);
-    node_->pinned_pool().resize(std::max<util::Bytes>(pool, util::gib(1)));
-  }
+  Stage::size_pinned_pool(*node_, config_.strategy, budget);
 }
 
 ClusterSession::~ClusterSession() = default;
 
-util::Bytes ClusterSession::build_stage(int virtual_stage) {
+void ClusterSession::build_stage(int virtual_stage) {
   const int pp = config_.parallel.pipeline_parallel;
   const int vs_count = pp * config_.virtual_stages;
   const int s = virtual_stage % pp;
@@ -325,8 +280,7 @@ util::Bytes ClusterSession::build_stage(int virtual_stage) {
 
   ExecutorOptions exec_options;
   exec_options.gpu_index = s;
-  exec_options.recompute = config_.strategy == Strategy::recompute_full ||
-                           config_.strategy == Strategy::ssdtrain_recompute;
+  exec_options.recompute = recomputes(config_.strategy);
   if (!whole) {
     // Multi-stage: executors must not pace (step the shared clock) inside
     // a command — one lane draining its queue would advance time past the
@@ -377,122 +331,56 @@ util::Bytes ClusterSession::build_stage(int virtual_stage) {
                                       ctx.compute_schedule);
   }
 
-  const bool offloading = config_.strategy == Strategy::ssdtrain ||
-                          config_.strategy == Strategy::ssdtrain_cpu ||
-                          config_.strategy == Strategy::ssdtrain_recompute;
-  if (!offloading) {
-    contexts_.push_back(std::move(ctx));
-    return 0;
-  }
-
-  util::BytesPerSecond target_bw = 0.0;
-  if (config_.strategy == Strategy::ssdtrain ||
-      config_.strategy == Strategy::ssdtrain_recompute) {
-    util::expects(node_->has_array(s),
-                  "SSDTrain strategy needs an SSD array on every pipeline "
-                  "GPU");
-    core::SsdOffloaderConfig ssd_cfg;
-    ssd_cfg.gpu_index = s;
-    ssd_cfg.store_workers = config_.store_workers;
-    ssd_cfg.load_workers = config_.load_workers;
-    ssd_cfg.use_gds = config_.use_gds;
-    ssd_cfg.fault = config_.fault_policy;
-    ssd_cfg.fault.injector = injector_.get();
-    ctx.offloader = std::make_unique<core::SsdOffloader>(
-        *node_, ctx.executor->factory(), ssd_cfg,
-        lanes_[static_cast<std::size_t>(s)].malloc_hook.get());
-    target_bw = std::min(node_->array(s).nominal_write_bandwidth(),
-                         hw::effective_bandwidth(node_->config().pcie));
-  } else {
-    core::CpuOffloaderConfig cpu_cfg;
-    cpu_cfg.gpu_index = s;
-    cpu_cfg.store_workers = config_.store_workers;
-    cpu_cfg.load_workers = config_.load_workers;
-    cpu_cfg.fault = config_.fault_policy;
-    cpu_cfg.fault.injector = injector_.get();
-    ctx.offloader = std::make_unique<core::CpuOffloader>(
-        *node_, ctx.executor->factory(), cpu_cfg);
-    target_bw = std::min(hw::effective_bandwidth(node_->config().pcie),
-                         node_->config().dram_bandwidth);
-  }
-
   // Per-stage adaptive planning: the planner sees this stage's layer slice
   // (pipeline division already applied by the slice itself) and the peak
   // number of micro-batches the schedule keeps in flight here.
-  core::PlannerInputs inputs;
-  if (whole) {
-    inputs.model = config_.model;
-    inputs.parallel = config_.parallel;
-  } else {
-    modules::ModelConfig sliced = config_.model;
-    sliced.layers = layers_per_stage;
-    sliced.workload = config_.model.resolved_workload().slice(
+  core::PlannerInputs planner;
+  planner.model = config_.model;
+  planner.parallel = config_.parallel;
+  if (!whole) {
+    planner.model.layers = layers_per_stage;
+    planner.model.workload = config_.model.resolved_workload().slice(
         virtual_stage * layers_per_stage, layers_per_stage);
-    inputs.model = std::move(sliced);
-    inputs.parallel = config_.parallel;
-    inputs.parallel.pipeline_parallel = 1;
-    inputs.peak_in_flight =
+    planner.parallel.pipeline_parallel = 1;
+    planner.peak_in_flight =
         sched::peak_in_flight_micro_batches(ctx.compute_schedule);
   }
-  inputs.gpu = node_->config().gpu;
-  inputs.target_write_bandwidth = target_bw;
-  inputs.micro_batches = config_.micro_batches;
-  ctx.planner_inputs = inputs;
-  ctx.plan = core::plan_offload(inputs);
-
-  core::TensorCacheConfig cache_cfg = core::make_cache_config(*ctx.plan);
-  if (config_.budget_override) {
-    cache_cfg.offload_budget = *config_.budget_override;
-  }
-  cache_cfg.forwarding = config_.forwarding;
-  cache_cfg.prefetch_lookahead = config_.prefetch_lookahead;
-  const util::Bytes budget = cache_cfg.offload_budget;
-  ctx.cache = std::make_unique<core::TensorCache>(
-      node_->simulator(), *ctx.offloader, cache_cfg);
-  ctx.cache->install_hooks(*ctx.model);
-  ctx.executor->attach_cache(ctx.cache.get());
+  ctx.stage = Stage(
+      config_, *node_, s, std::move(planner), *ctx.executor, *ctx.model,
+      lanes_[static_cast<std::size_t>(s)].malloc_hook.get(), injector_.get());
   contexts_.push_back(std::move(ctx));
-  return budget;
 }
 
-int ClusterSession::gpu_count() const {
-  return config_.parallel.pipeline_parallel;
-}
-
-int ClusterSession::virtual_stage_count() const {
-  return config_.parallel.pipeline_parallel * config_.virtual_stages;
-}
-
-Executor& ClusterSession::executor(int virtual_stage) {
-  util::expects(virtual_stage >= 0 &&
-                    virtual_stage < virtual_stage_count(),
-                "virtual stage out of range");
-  return *contexts_[static_cast<std::size_t>(virtual_stage)].executor;
-}
-
-const StepProgram* ClusterSession::program(int virtual_stage) const {
-  util::expects(virtual_stage >= 0 &&
-                    virtual_stage < virtual_stage_count(),
-                "virtual stage out of range");
-  return contexts_[static_cast<std::size_t>(virtual_stage)].program.get();
-}
-
-const std::optional<core::OffloadPlan>& ClusterSession::plan(
+const ClusterSession::StageContext& ClusterSession::context(
     int virtual_stage) const {
   util::expects(virtual_stage >= 0 &&
                     virtual_stage < virtual_stage_count(),
                 "virtual stage out of range");
-  return contexts_[static_cast<std::size_t>(virtual_stage)].plan;
+  return contexts_[static_cast<std::size_t>(virtual_stage)];
+}
+
+Executor& ClusterSession::executor(int virtual_stage) {
+  return *context(virtual_stage).executor;
+}
+
+const StepProgram* ClusterSession::program(int virtual_stage) const {
+  return context(virtual_stage).stage.program();
+}
+
+const std::optional<core::OffloadPlan>& ClusterSession::plan(
+    int virtual_stage) const {
+  return context(virtual_stage).stage.plan();
 }
 
 void ClusterSession::dispatch_compute(StageContext& ctx, std::size_t index) {
   util::expects(index < ctx.compute_schedule.size(),
                 "stage compute stream overran its schedule");
-  if (ctx.mode == StageContext::Mode::replay) {
-    ctx.executor->replay_segment(*ctx.program, index, ctx.pre_optimizer);
+  if (ctx.mode == Stage::StepMode::replay) {
+    ctx.executor->replay_segment(*ctx.stage.program(), index,
+                                 ctx.pre_optimizer);
     return;
   }
-  if (ctx.mode == StageContext::Mode::record) {
+  if (ctx.mode == Stage::StepMode::record) {
     ctx.executor->begin_recorded_command();
   }
   ctx.executor->exec_command(*ctx.model, ctx.compute_schedule, index,
@@ -595,7 +483,6 @@ void ClusterSession::dispatch_optimizer(int gpu) {
   });
 
   const bool sharded = config_.parallel.zero != parallel::ZeroStage::none;
-  const double param_bytes = static_cast<double>(lane.param_bytes);
   std::vector<sim::CompletionPtr> gates;
   if (dp > 1) {
     // Pre-optimizer gradient reduction; with the post-optimizer gather
@@ -627,12 +514,13 @@ void ClusterSession::dispatch_optimizer(int gpu) {
         kGradReduce, traffic,
         {gpu_ctx.pcie_tx, lane.dp_port, gpu_ctx.pcie_rx}, gpu, latency));
   }
-  if (config_.zero_offload_optimizer && node_->has_array(gpu)) {
-    // ZeRO-Offload-style states on NVMe: fp32 momentum + master weights,
-    // 12 bytes per parameter = 6x the fp16 parameter bytes, of this
-    // rank's partition, fetched over GDS before the update.
-    const double shard = sharded ? 1.0 / dp : 1.0;
-    const auto state = static_cast<util::Bytes>(6.0 * param_bytes * shard);
+  // ZeRO-Offload-style states on NVMe: this rank's partition of the
+  // optimizer state, fetched over GDS before the update.
+  const bool offload_state =
+      config_.zero_offload_optimizer && node_->has_array(gpu);
+  const util::Bytes state = ckpt::optimizer_state_bytes(
+      lane.param_bytes, sharded ? 1.0 / dp : 1.0);
+  if (offload_state) {
     static const util::Label kStateFetch("zero_offload:state_fetch");
     gates.push_back(launch_fabric_flow(kStateFetch, state,
                                        node_->gds_read_path(gpu), gpu, hop));
@@ -664,9 +552,7 @@ void ClusterSession::dispatch_optimizer(int gpu) {
                        {gpu_ctx.pcie_tx, lane.dp_port, gpu_ctx.pcie_rx},
                        gpu, (dp - 1) * hop);
   }
-  if (config_.zero_offload_optimizer && node_->has_array(gpu)) {
-    const double shard = sharded ? 1.0 / dp : 1.0;
-    const auto state = static_cast<util::Bytes>(6.0 * param_bytes * shard);
+  if (offload_state) {
     static const util::Label kStateWriteback("zero_offload:state_writeback");
     launch_fabric_flow(kStateWriteback, state, node_->gds_write_path(gpu),
                        gpu, hop);
@@ -696,26 +582,20 @@ bool ClusterSession::dispatch(int gpu, const sched::Command& command) {
     case sched::CommandKind::send_backward:
       launch_boundary_send(vs, command.micro_batch, /*forward=*/false);
       return true;
-    case sched::CommandKind::recv_forward: {
-      auto it = pending_forward_.find({vs, command.micro_batch});
-      if (it == pending_forward_.end()) return false;  // lane stalls
-      const int tensors = recv_counts_[static_cast<std::size_t>(vs)];
-      for (int i = 0; i < tensors; ++i) {
-        ctx.executor->push_stage_input(it->second);
-      }
-      pending_forward_.erase(it);
-      return true;
-    }
+    case sched::CommandKind::recv_forward:
     case sched::CommandKind::recv_backward: {
-      auto it = pending_backward_.find({vs, command.micro_batch});
-      if (it == pending_backward_.end()) return false;  // lane stalls
-      // Gradients of what this stage sent forward: the downstream
-      // stage's input count.
-      const int tensors = recv_counts_[static_cast<std::size_t>(vs) + 1];
+      const bool forward = command.kind == sched::CommandKind::recv_forward;
+      auto& pending = forward ? pending_forward_ : pending_backward_;
+      auto it = pending.find({vs, command.micro_batch});
+      if (it == pending.end()) return false;  // lane stalls
+      // A backward recv carries the gradients of what this stage sent
+      // forward: the downstream stage's input count.
+      const int tensors =
+          recv_counts_[static_cast<std::size_t>(forward ? vs : vs + 1)];
       for (int i = 0; i < tensors; ++i) {
         ctx.executor->push_stage_input(it->second);
       }
-      pending_backward_.erase(it);
+      pending.erase(it);
       return true;
     }
     case sched::CommandKind::optimizer_step:
@@ -725,43 +605,19 @@ bool ClusterSession::dispatch(int gpu, const sched::Command& command) {
   return true;
 }
 
-void ClusterSession::rebalance_after_fault() {
-  if (config_.budget_override) return;
-  if (config_.strategy != Strategy::ssdtrain &&
-      config_.strategy != Strategy::ssdtrain_recompute) {
-    return;
-  }
-  for (auto& ctx : contexts_) {
-    if (ctx.cache == nullptr) continue;
-    ctx.planner_inputs.target_write_bandwidth =
-        std::min(node_->array(ctx.gpu).nominal_write_bandwidth(),
-                 hw::effective_bandwidth(node_->config().pcie));
-    ctx.plan = core::plan_offload(ctx.planner_inputs);
-    ctx.cache->set_offload_budget(
-        core::make_cache_config(*ctx.plan).offload_budget);
-  }
-}
-
 ClusterStepStats ClusterSession::run_step() {
   const int pp = config_.parallel.pipeline_parallel;
   auto& sim = node_->simulator();
 
+  // A structural fault since the last boundary makes every stage's program
+  // suspect (it may have moved any stage's pack/load branches): all are
+  // discarded and re-recorded with the same chunk stagger, counted from
+  // this step.
   std::uint64_t invalidations = 0;
-  if (injector_ != nullptr &&
-      injector_->structural_epoch() != fault_epoch_seen_) {
-    fault_epoch_seen_ = injector_->structural_epoch();
-    // Structural fault since the last boundary: every stage's recorded
-    // program is suspect (the fault may have moved any stage's pack/load
-    // branches), so all are discarded and re-recorded with the same
-    // chunk stagger, counted from this step.
-    for (auto& ctx : contexts_) {
-      if (ctx.program != nullptr) {
-        ctx.program.reset();
-        ++invalidations;
-      }
+  for (auto& ctx : contexts_) {
+    if (ctx.stage.invalidate_after_fault(invalidations)) {
+      record_base_ = step_index_;
     }
-    record_base_ = step_index_;
-    rebalance_after_fault();
   }
 
   pending_forward_.clear();
@@ -776,47 +632,23 @@ ClusterStepStats ClusterSession::run_step() {
     lane.busy_start = node_->gpu(s).compute_stream->busy_time();
   }
 
-  const bool cache_usable =
-      config_.program_cache != nullptr && config_.use_replay &&
-      (injector_ == nullptr || injector_->structural_epoch() == 0);
   for (auto& ctx : contexts_) {
     ctx.cursor = 0;
     ctx.pre_optimizer.reset();
     ctx.step_end.reset();
-    if (config_.use_replay && !ctx.replay_dead && ctx.program == nullptr &&
-        cache_usable) {
-      // Program-cache lookup before deciding to record: a hit (from this
-      // process or a sibling shard's cache directory) puts the stage
-      // straight into replay — it never traces, so the executor
-      // materializes the cached weight set first.
-      std::shared_ptr<const StepProgram> cached =
-          config_.program_cache->lookup(ctx.cache_key);
-      if (cached != nullptr && cached->replayable &&
-          cached->schedule == ctx.compute_schedule &&
-          cached->uses_cache == (ctx.cache != nullptr)) {
-        ctx.executor->materialize_weights(*cached);
-        ctx.program = std::move(cached);
-        ctx.program_from_cache = true;
-      }
-    }
-    if (!config_.use_replay || ctx.replay_dead) {
-      ctx.mode = StageContext::Mode::trace;
-    } else if (ctx.program != nullptr) {
-      ctx.mode = StageContext::Mode::replay;
-    } else if (step_index_ - record_base_ == ctx.chunk) {
-      // One allocator trace observer per GPU at a time: chunk c records
-      // on step c, so a V-chunk GPU reaches all-replay at step V.
-      ctx.mode = StageContext::Mode::record;
-    } else {
-      ctx.mode = StageContext::Mode::trace;
-    }
-    if (ctx.mode == StageContext::Mode::record) {
+    // One allocator trace observer per GPU at a time: chunk c records on
+    // step c, so a V-chunk GPU reaches all-replay at step V. A
+    // program-cache hit puts the stage straight into replay.
+    ctx.mode = ctx.stage.next_step_mode(
+        ctx.cache_key, ctx.compute_schedule,
+        /*may_record=*/step_index_ - record_base_ == ctx.chunk);
+    if (ctx.mode == Stage::StepMode::record) {
       ctx.recording = std::make_shared<StepProgram>();
       ctx.executor->start_recording(*ctx.recording, ctx.compute_schedule);
     }
     ctx.baseline =
-        ctx.mode == StageContext::Mode::replay
-            ? ctx.executor->begin_replay_step(*ctx.program,
+        ctx.mode == Stage::StepMode::replay
+            ? ctx.executor->begin_replay_step(*ctx.stage.program(),
                                               ctx.compute_schedule)
             : ctx.executor->begin_trace_step();
   }
@@ -895,46 +727,21 @@ ClusterStepStats ClusterSession::run_step() {
     StepStats stats = ctx.executor->collect_step(ctx.baseline,
                                                  ctx.pre_optimizer,
                                                  ctx.step_end);
-    if (ctx.offloader != nullptr) {
-      stats.offloader_totals = ctx.offloader->stats();
-      stats.loaded_bytes = stats.offloader_totals.bytes_loaded;
-      const core::OffloaderStats& t = stats.offloader_totals;
-      stats.io_retries = t.io_retries - ctx.last_offloader.io_retries;
-      stats.io_failures = t.io_failures - ctx.last_offloader.io_failures;
-      stats.recompute_fallbacks =
-          t.recompute_fallbacks - ctx.last_offloader.recompute_fallbacks;
-      stats.fault_stall_time =
-          (t.retry_backoff_time - ctx.last_offloader.retry_backoff_time) +
-          (t.fault_extra_latency - ctx.last_offloader.fault_extra_latency) +
-          (t.recompute_fallback_time -
-           ctx.last_offloader.recompute_fallback_time);
-      ctx.last_offloader = t;
-    }
+    ctx.stage.take_offloader_deltas(stats);
     out.per_stage.push_back({ctx.gpu, ctx.chunk, std::move(stats)});
   }
 
   // Seal recordings before any teardown: the graph/slot frees below are
   // inter-step cleanup and must not be compiled into the programs.
   for (auto& ctx : contexts_) {
-    if (ctx.mode != StageContext::Mode::record) continue;
+    if (ctx.mode != Stage::StepMode::record) continue;
     ctx.executor->finish_recording();
-    if (!ctx.recording->replayable) {
-      util::log_warning(
-          "stage replay disabled (gpu " + std::to_string(ctx.gpu) +
-          ", chunk " + std::to_string(ctx.chunk) +
-          "): " + ctx.recording->invalid_reason);
-      ctx.replay_dead = true;
-    } else {
-      if (cache_usable &&
-          (injector_ == nullptr || injector_->structural_epoch() == 0)) {
-        config_.program_cache->store(ctx.cache_key, ctx.recording);
-      }
-      ctx.program = std::move(ctx.recording);
-    }
-    ctx.recording.reset();
+    ctx.stage.seal(std::move(ctx.recording), ctx.cache_key,
+                   "stage replay disabled (gpu " + std::to_string(ctx.gpu) +
+                       ", chunk " + std::to_string(ctx.chunk) + ")");
   }
   for (auto& ctx : contexts_) {
-    if (ctx.mode == StageContext::Mode::replay) {
+    if (ctx.mode == Stage::StepMode::replay) {
       ctx.executor->end_replay_step();
     } else {
       ctx.executor->end_trace_step();
@@ -968,103 +775,8 @@ ClusterStepStats ClusterSession::run_step() {
   out.p2p_bytes = p2p_bytes_step_;
   out.dp_bytes = dp_bytes_step_;
   ++step_index_;
-  finish_step_accounting(out);
+  ledger_.finish_step(out.combined);
   return out;
-}
-
-bool ClusterSession::checkpoint_due() const {
-  const ckpt::CheckpointPolicy& policy = config_.checkpoint;
-  if (policy.every_steps > 0) {
-    return steps_since_commit_ >= policy.every_steps;
-  }
-  const sim::TimePoint now = node_->simulator().now();
-  if (policy.every_seconds > 0.0) {
-    return now - last_commit_wall_ >= policy.every_seconds;
-  }
-  if (policy.auto_interval) {
-    if (!auto_cost_known_) return true;
-    return now - last_commit_wall_ >= auto_interval_;
-  }
-  return false;
-}
-
-void ClusterSession::finish_step_accounting(ClusterStepStats& out) {
-  auto& sim = node_->simulator();
-  if (injector_ != nullptr && !injector_->pending_crashes().empty()) {
-    const std::vector<fault::CrashRecord> crashes = injector_->take_crashes();
-    util::check(ckpt_writer_ != nullptr,
-                "stage-crash lose=state fired (via trigger) but no "
-                "checkpoint policy is configured — enable "
-                "--ckpt-interval/--ckpt-auto before injecting destructive "
-                "crashes");
-    // Any stage's destructive crash rolls the whole pipeline back: the
-    // lost stage must reload the last committed checkpoint, and the
-    // surviving stages follow it there (their optimizer steps since the
-    // commit cannot be un-applied in place). All restore flows run
-    // concurrently, contending on the shared fabric.
-    sim::TimePoint earliest = crashes.front().at;
-    for (const fault::CrashRecord& crash : crashes) {
-      earliest = std::min(earliest, crash.at);
-    }
-    const util::Seconds lost =
-        std::max(0.0, earliest - ckpt_writer_->last_commit_time());
-    std::vector<int> gpus;
-    gpus.reserve(lanes_.size());
-    for (int s = 0; s < static_cast<int>(lanes_.size()); ++s) {
-      gpus.push_back(s);
-    }
-    const ckpt::RestoreResult restore = ckpt_writer_->restore(gpus);
-    out.combined.restore_time = restore.time;
-    out.combined.rollback_steps = logical_step_ + 1 - restore.step;
-    out.combined.lost_work_time = lost;
-    out.combined.step_time += restore.time;
-    ++restores_;
-    restore_time_total_ += restore.time;
-    lost_work_total_ += lost;
-    rollback_total_ += out.combined.rollback_steps;
-    provisional_useful_ = 0.0;
-    logical_step_ = restore.step;
-    steps_since_commit_ = 0;
-    last_commit_wall_ = sim.now();
-    return;
-  }
-
-  ++logical_step_;
-  provisional_useful_ += out.combined.step_time;
-  if (ckpt_writer_ == nullptr) return;
-  ++steps_since_commit_;
-  if (!checkpoint_due()) return;
-
-  const ckpt::CheckpointCommit commit = ckpt_writer_->write(logical_step_);
-  out.combined.checkpoint_time = commit.time;
-  out.combined.checkpoint_bytes = commit.bytes;
-  out.combined.step_time += commit.time;
-  checkpoint_time_total_ += commit.time;
-  committed_useful_ += provisional_useful_;
-  provisional_useful_ = 0.0;
-  steps_since_commit_ = 0;
-  last_commit_wall_ = commit.committed_at;
-  if (config_.checkpoint.auto_interval && !auto_cost_known_) {
-    auto_interval_ =
-        ckpt::young_daly_interval(commit.time, config_.checkpoint.mtbf);
-    auto_cost_known_ = true;
-  }
-}
-
-ckpt::GoodputReport ClusterSession::goodput() {
-  ckpt::GoodputReport report;
-  report.wall_clock = node_->simulator().now();
-  report.useful_time = committed_useful_ + provisional_useful_;
-  report.checkpoint_time = checkpoint_time_total_;
-  report.restore_time = restore_time_total_;
-  report.lost_work_time = lost_work_total_;
-  report.checkpoints =
-      ckpt_writer_ != nullptr ? ckpt_writer_->committed_count() : 0;
-  report.restores = restores_;
-  report.rollback_steps = rollback_total_;
-  report.checkpoint_bytes =
-      ckpt_writer_ != nullptr ? ckpt_writer_->bytes_written() : 0;
-  return report;
 }
 
 std::vector<ClusterStepStats> ClusterSession::run_steps(int n) {

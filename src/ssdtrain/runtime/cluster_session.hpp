@@ -30,44 +30,23 @@
 #include <utility>
 #include <vector>
 
-#include "ssdtrain/ckpt/policy.hpp"
-#include "ssdtrain/core/malloc_hook.hpp"
-#include "ssdtrain/core/offloader.hpp"
-#include "ssdtrain/core/planner.hpp"
-#include "ssdtrain/core/tensor_cache.hpp"
-#include "ssdtrain/hw/catalog.hpp"
-#include "ssdtrain/hw/node.hpp"
-#include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/executor.hpp"
+#include "ssdtrain/ckpt/ledger.hpp"
 #include "ssdtrain/runtime/session.hpp"
-#include "ssdtrain/runtime/step_stats.hpp"
+#include "ssdtrain/runtime/stage.hpp"
 #include "ssdtrain/sched/schedule.hpp"
 
 namespace ssdtrain::runtime {
 
-struct ClusterConfig {
-  modules::ModelConfig model;
-  parallel::ParallelConfig parallel;
+struct ClusterConfig : TrainingConfig {
   /// SSDs in each GPU's RAID0 array when the node is auto-built (one GPU
   /// per pipeline stage via hw::catalog::cluster_node).
   int ssds_per_gpu = 4;
   /// Explicit machine override; must carry >= pipeline_parallel GPUs.
   std::optional<hw::NodeConfig> node;
-  Strategy strategy = Strategy::ssdtrain;
-  int micro_batches = 1;
   sched::PipelineKind schedule = sched::PipelineKind::one_f_one_b;
   /// Model chunks per GPU (Megatron interleaved 1F1B). 1 for the plain
   /// schedules.
   int virtual_stages = 1;
-  /// Per-stage step-graph record/replay: each stage traces once (stage
-  /// chunk c records on step c, one recorder per GPU at a time) and
-  /// replays its compact program afterwards.
-  bool use_replay = true;
-  /// Optional shared program cache (requires use_replay), consulted per
-  /// virtual stage: a stage whose fingerprint hits skips its recording step
-  /// and replays from step 0. Mirrors SessionConfig::program_cache,
-  /// including the stop-on-structural-fault rule. Not owned.
-  ProgramCache* program_cache = nullptr;
   /// Launch/hop latency of pipeline sends and DP collectives.
   util::Seconds fabric_hop_latency = util::us(5);
   /// Per-GPU DP-fabric link bandwidth (NIC class; the DP group crosses
@@ -77,26 +56,6 @@ struct ClusterConfig {
   /// array: the optimizer's state partition is read before and written
   /// back after the weight update, as flows on the GDS paths.
   bool zero_offload_optimizer = false;
-
-  // SSDTrain knobs, mirrored from SessionConfig (applied per stage):
-  bool use_gds = true;
-  bool forwarding = true;
-  int prefetch_lookahead = 1;
-  bool install_malloc_hook = true;
-  int store_workers = 2;
-  int load_workers = 2;
-  /// Overrides each stage planner's offload budget when set.
-  std::optional<util::Bytes> budget_override;
-
-  /// Seeded fault injection over the whole cluster (empty = disabled).
-  fault::FaultConfig faults;
-  /// Offload retry/backoff knobs applied to every stage's offloader.
-  core::OffloadFaultPolicy fault_policy;
-
-  /// Crash-consistent checkpointing of every stage's weights + optimizer
-  /// (or ZeRO) shard to its offload SSDs. Disabled by default; required
-  /// before any stage-crash fault with lose=state.
-  ckpt::CheckpointPolicy checkpoint;
 };
 
 /// One virtual stage's measurements (virtual stage = chunk * pp + gpu).
@@ -137,9 +96,13 @@ class ClusterSession {
 
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   [[nodiscard]] hw::TrainingNode& node() { return *node_; }
-  [[nodiscard]] int gpu_count() const;
+  [[nodiscard]] int gpu_count() const {
+    return config_.parallel.pipeline_parallel;
+  }
   /// pipeline_parallel * virtual_stages model slices.
-  [[nodiscard]] int virtual_stage_count() const;
+  [[nodiscard]] int virtual_stage_count() const {
+    return config_.parallel.pipeline_parallel * config_.virtual_stages;
+  }
   [[nodiscard]] Executor& executor(int virtual_stage);
   /// The virtual stage's recorded program: null before its recording step
   /// (stage chunk c records on step c), after a recording failure, or with
@@ -153,23 +116,25 @@ class ClusterSession {
 
   /// Null unless config.checkpoint is enabled.
   [[nodiscard]] ckpt::CheckpointWriter* checkpoint_writer() {
-    return ckpt_writer_.get();
+    return ledger_.writer();
   }
   /// Steps durably completed (rolls back on destructive crashes); diverges
   /// from the run_step call count once a recovery replays lost steps.
-  [[nodiscard]] std::uint64_t logical_step() const { return logical_step_; }
+  [[nodiscard]] std::uint64_t logical_step() const {
+    return ledger_.logical_step();
+  }
   /// Wall-clock decomposition: useful step time vs checkpoint/restore/lost
   /// overhead, cluster-wide.
-  [[nodiscard]] ckpt::GoodputReport goodput();
+  [[nodiscard]] ckpt::GoodputReport goodput() { return ledger_.goodput(); }
 
  private:
   struct StageContext;  ///< one (gpu, chunk) model slice and its runtime
   struct GpuLane;       ///< one GPU's expanded command stream
   class ClusterSimGuard;
 
-  /// Builds one virtual stage's context; returns its cache offload budget
-  /// (0 for non-offloading strategies) for pinned-pool sizing.
-  util::Bytes build_stage(int virtual_stage);
+  void build_stage(int virtual_stage);
+  /// Range-checked context of one virtual stage.
+  [[nodiscard]] const StageContext& context(int virtual_stage) const;
   /// Dispatches one lane command; false when a recv's matching send has
   /// not been dispatched yet (the lane stalls, NCCL blocking-recv style).
   bool dispatch(int gpu, const sched::Command& command);
@@ -182,15 +147,6 @@ class ClusterSession {
   /// reduction flows, optimizer-state fetch, then every chunk's optimizer
   /// command, then the post-optimizer all-gather / state writeback.
   void dispatch_optimizer(int gpu);
-  /// Re-plans every offloading stage against its degraded array bandwidth
-  /// and installs the rebalanced budgets into the live caches.
-  void rebalance_after_fault();
-  [[nodiscard]] bool checkpoint_due() const;
-  /// Post-step checkpoint/recovery driver (see TrainingSession): restores
-  /// every stage — surviving ranks must roll back with the crashed one,
-  /// since committed optimizer steps cannot be un-applied — or commits a
-  /// due checkpoint, and keeps the goodput ledger.
-  void finish_step_accounting(ClusterStepStats& out);
   sim::CompletionPtr launch_fabric_flow(
       util::Label label, util::Bytes bytes,
       std::vector<sim::BandwidthNetwork::ResourceId> path, int gpu,
@@ -207,7 +163,6 @@ class ClusterSession {
   double ideal_bubble_ = 0.0;
   int step_index_ = 0;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::uint64_t fault_epoch_seen_ = 0;
   /// Step index the record stagger counts from; reset when a structural
   /// fault discards the programs so re-recording staggers the same way.
   int record_base_ = 0;
@@ -219,22 +174,9 @@ class ClusterSession {
   util::Bytes p2p_bytes_step_ = 0;
   util::Bytes dp_bytes_step_ = 0;
 
-  // Checkpoint / recovery state (inert without a policy). step_index_
-  // stays monotone — it drives the record stagger — so the rollbackable
-  // step count lives in logical_step_.
-  std::unique_ptr<ckpt::CheckpointWriter> ckpt_writer_;
-  std::uint64_t logical_step_ = 0;
-  int steps_since_commit_ = 0;
-  sim::TimePoint last_commit_wall_ = 0.0;
-  util::Seconds auto_interval_ = 0.0;
-  bool auto_cost_known_ = false;
-  util::Seconds committed_useful_ = 0.0;
-  util::Seconds provisional_useful_ = 0.0;
-  util::Seconds checkpoint_time_total_ = 0.0;
-  util::Seconds restore_time_total_ = 0.0;
-  util::Seconds lost_work_total_ = 0.0;
-  std::uint64_t restores_ = 0;
-  std::uint64_t rollback_total_ = 0;
+  /// Checkpoint / recovery / goodput state (inert without a policy); its
+  /// logical step rolls back, step_index_ (the record stagger) does not.
+  ckpt::RecoveryLedger ledger_;
 };
 
 }  // namespace ssdtrain::runtime

@@ -483,10 +483,9 @@ void Executor::start_recording(StepProgram& program,
   util::expects(recorder_ == nullptr, "already recording");
   program = StepProgram{};
   program.schedule = schedule;
-  recorder_owned_ = std::make_unique<StepRecorder>(
+  recorder_ = std::make_unique<StepRecorder>(
       program, *node_.gpu(options_.gpu_index).allocator, cache_ != nullptr);
-  recorder_ = recorder_owned_.get();
-  if (cache_ != nullptr) cache_->set_trace_recorder(recorder_);
+  if (cache_ != nullptr) cache_->set_trace_recorder(recorder_.get());
 }
 
 void Executor::begin_recorded_command() {
@@ -494,35 +493,29 @@ void Executor::begin_recorded_command() {
 }
 
 void Executor::finish_recording() {
-  if (recorder_owned_ == nullptr) return;
-  if (!recorder_owned_->finalized()) recorder_owned_->finalize();
-  snapshot_weights(recorder_owned_->program());
+  if (recorder_ == nullptr) return;
+  if (!recorder_->finalized()) recorder_->finalize();
+  snapshot_weights(recorder_->program());
+  stop_recording();
+}
+
+void Executor::stop_recording() {
   if (cache_ != nullptr) cache_->set_trace_recorder(nullptr);
-  recorder_ = nullptr;
-  recorder_owned_.reset();
+  recorder_.reset();
 }
 
 StepStats Executor::record_step(modules::Model& model,
                                 const std::vector<sched::Command>& schedule,
                                 StepProgram& program) {
-  util::expects(recorder_ == nullptr, "already recording");
-  program = StepProgram{};
-  program.schedule = schedule;
-  StepRecorder recorder(program, *node_.gpu(options_.gpu_index).allocator,
-                        cache_ != nullptr);
-  recorder_ = &recorder;
-  if (cache_ != nullptr) cache_->set_trace_recorder(&recorder);
+  start_recording(program, schedule);
   StepStats stats;
   try {
     stats = run_step(model, schedule);
   } catch (...) {
-    recorder_ = nullptr;
-    if (cache_ != nullptr) cache_->set_trace_recorder(nullptr);
+    stop_recording();
     throw;
   }
-  recorder_ = nullptr;
-  if (cache_ != nullptr) cache_->set_trace_recorder(nullptr);
-  snapshot_weights(program);
+  finish_recording();
   return stats;
 }
 

@@ -155,8 +155,8 @@ class Executor final : public modules::ExecutionContext {
   /// Post-stats teardown of the replay value slots.
   void end_replay_step();
 
-  /// Installs a heap recorder compiling subsequent trace-path work into
-  /// \p program (the session-driven analogue of record_step's bracket).
+  /// Installs a recorder compiling subsequent trace-path work into
+  /// \p program; record_step brackets run_step with it.
   void start_recording(StepProgram& program,
                        const std::vector<sched::Command>& schedule);
   /// Opens the next compute command's segment in the recording program.
@@ -182,7 +182,9 @@ class Executor final : public modules::ExecutionContext {
 
   /// The recorder currently compiling this executor's trace (null outside
   /// a recording) — a SimGuard owner brackets every active one.
-  [[nodiscard]] StepRecorder* active_recorder() const { return recorder_; }
+  [[nodiscard]] StepRecorder* active_recorder() const {
+    return recorder_.get();
+  }
 
   /// Queues the ready event the next make_stage_input tensor observes —
   /// the recv flow completion of an upstream stage's send. FIFO: models
@@ -230,6 +232,8 @@ class Executor final : public modules::ExecutionContext {
   StepBaseline begin_step();
   StepStats finish_step(const StepBaseline& base,
                         const sim::CompletionPtr& pre_optimizer_marker);
+  /// Detaches and drops the recorder without sealing its program.
+  void stop_recording();
 
   void bind_pending_ready_events(const sim::CompletionPtr& producer);
   void bind_pending_replay(const sim::CompletionPtr& producer);
@@ -251,8 +255,7 @@ class Executor final : public modules::ExecutionContext {
   tensor::TensorFactory factory_;
   graph::Graph graph_;
   core::TensorCache* cache_ = nullptr;
-  StepRecorder* recorder_ = nullptr;  ///< non-null while recording
-  std::unique_ptr<StepRecorder> recorder_owned_;  ///< start_recording's
+  std::unique_ptr<StepRecorder> recorder_;  ///< non-null while recording
   SimGuard* sim_guard_ = nullptr;
   std::vector<const graph::SavedTensorHooks*> hook_stack_;
   std::map<std::string, tensor::Tensor> weights_;

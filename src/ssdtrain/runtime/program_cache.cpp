@@ -186,10 +186,8 @@ void append_schedule(KeyText& key,
   key.close();
 }
 
-// Shared SSDTrain knobs (identical field sets in SessionConfig and
-// ClusterConfig).
-template <typename Config>
-void append_knobs(KeyText& key, const Config& config) {
+// The SSDTrain knobs SessionConfig and ClusterConfig share.
+void append_knobs(KeyText& key, const TrainingConfig& config) {
   key.open("knobs");
   key.field("use_gds", config.use_gds);
   key.field("forwarding", config.forwarding);

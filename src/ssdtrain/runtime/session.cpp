@@ -1,57 +1,18 @@
 #include "ssdtrain/runtime/session.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "ssdtrain/ckpt/writer.hpp"
 #include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/util/check.hpp"
-#include "ssdtrain/util/logging.hpp"
 
 namespace ssdtrain::runtime {
 
-std::string_view to_string(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::keep_in_gpu:
-      return "keep-in-gpu";
-    case Strategy::ssdtrain:
-      return "ssdtrain";
-    case Strategy::ssdtrain_cpu:
-      return "ssdtrain-cpu";
-    case Strategy::recompute_full:
-      return "recompute-full";
-    case Strategy::ssdtrain_recompute:
-      return "ssdtrain+recompute";
-  }
-  return "?";
-}
-
-Strategy strategy_from(std::string_view name) {
-  for (Strategy s :
-       {Strategy::keep_in_gpu, Strategy::ssdtrain, Strategy::ssdtrain_cpu,
-        Strategy::recompute_full, Strategy::ssdtrain_recompute}) {
-    if (to_string(s) == name) return s;
-  }
-  util::check(false, "unknown strategy: " + std::string(name));
-  return Strategy::keep_in_gpu;  // unreachable
-}
-
-TrainingSession::~TrainingSession() = default;
-
 TrainingSession::TrainingSession(SessionConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      ledger_(config_.checkpoint, config_.faults) {
   config_.parallel.validate();
-  config_.checkpoint.validate();
-  for (const fault::FaultSpec& spec : config_.faults.specs) {
-    util::expects(!spec.rolls_back() || config_.checkpoint.enabled(),
-                  "--faults: stage-crash lose=state is only recoverable "
-                  "from a committed checkpoint — configure a checkpoint "
-                  "policy (--ckpt-interval N or --ckpt-auto with --mtbf) "
-                  "or drop lose=state");
-  }
-  replay_active_ = config_.use_replay;
   if (config_.program_cache != nullptr && config_.use_replay) {
-    program_key_ =
-        std::make_unique<ProgramKey>(session_program_key(config_));
+    program_key_ = session_program_key(config_);
   }
   // Computed once: the schedule is part of the session's identity (a
   // recorded StepProgram is valid only for this exact command sequence),
@@ -65,299 +26,51 @@ TrainingSession::TrainingSession(SessionConfig config)
   }
   model_ = modules::build_model(config_.model);
 
-  if (config_.checkpoint.enabled()) {
-    ckpt_writer_ = std::make_unique<ckpt::CheckpointWriter>(*node_,
-                                                            config_.use_gds);
-    // One shard: this GPU's fp16 weights plus the unpartitioned fp32
-    // optimizer state (momentum + master copy, 12 B per 2-byte parameter).
-    const util::Bytes weights =
-        model_->parameter_bytes(config_.parallel.tensor_parallel);
-    ckpt_writer_->add_stage(config_.gpu_index, 0, weights, 6 * weights);
-  }
+  // One shard: this GPU's weights and their unpartitioned optimizer state.
+  ledger_.open(*node_, config_.use_gds, injector_.get());
+  ledger_.add_stage(config_.gpu_index, 0,
+                    model_->parameter_bytes(config_.parallel.tensor_parallel),
+                    1.0);
 
   ExecutorOptions exec_options;
   exec_options.gpu_index = config_.gpu_index;
-  exec_options.recompute =
-      config_.strategy == Strategy::recompute_full ||
-      config_.strategy == Strategy::ssdtrain_recompute;
+  exec_options.recompute = recomputes(config_.strategy);
   executor_ = std::make_unique<Executor>(*node_, config_.parallel,
                                          exec_options);
 
-  const bool offloading = config_.strategy == Strategy::ssdtrain ||
-                          config_.strategy == Strategy::ssdtrain_cpu ||
-                          config_.strategy == Strategy::ssdtrain_recompute;
-  if (!offloading) return;
-
-  if (config_.install_malloc_hook) {
-    malloc_hook_ = std::make_unique<core::CudaMallocHookLibrary>();
-    malloc_hook_->install(*node_->gpu(config_.gpu_index).allocator);
-  }
-
-  util::BytesPerSecond target_bw = 0.0;
-  if (config_.strategy == Strategy::ssdtrain ||
-      config_.strategy == Strategy::ssdtrain_recompute) {
-    util::expects(node_->has_array(config_.gpu_index),
-                  "SSDTrain strategy needs an SSD array on this GPU");
-    core::SsdOffloaderConfig ssd_cfg;
-    ssd_cfg.gpu_index = config_.gpu_index;
-    ssd_cfg.store_workers = config_.store_workers;
-    ssd_cfg.load_workers = config_.load_workers;
-    ssd_cfg.use_gds = config_.use_gds;
-    ssd_cfg.fault = config_.fault_policy;
-    ssd_cfg.fault.injector = injector_.get();
-    offloader_ = std::make_unique<core::SsdOffloader>(
-        *node_, executor_->factory(), ssd_cfg, malloc_hook_.get());
-    target_bw = std::min(node_->array(config_.gpu_index)
-                             .nominal_write_bandwidth(),
-                         hw::effective_bandwidth(config_.node.pcie));
-  } else {
-    core::CpuOffloaderConfig cpu_cfg;
-    cpu_cfg.gpu_index = config_.gpu_index;
-    cpu_cfg.store_workers = config_.store_workers;
-    cpu_cfg.load_workers = config_.load_workers;
-    cpu_cfg.fault = config_.fault_policy;
-    cpu_cfg.fault.injector = injector_.get();
-    offloader_ = std::make_unique<core::CpuOffloader>(
-        *node_, executor_->factory(), cpu_cfg);
-    target_bw = std::min(hw::effective_bandwidth(config_.node.pcie),
-                         config_.node.dram_bandwidth);
-  }
-
-  // Adaptive planning (Fig. 3): set the offload amount from the model's
-  // compute/activation profile, the GPU throughput, and the target's
-  // bandwidth.
-  core::PlannerInputs inputs;
-  inputs.model = config_.model;
-  inputs.parallel = config_.parallel;
-  inputs.gpu = config_.node.gpu;
-  inputs.target_write_bandwidth = target_bw;
-  inputs.micro_batches = config_.micro_batches;
-  plan_ = core::plan_offload(inputs);
-
-  core::TensorCacheConfig cache_cfg = core::make_cache_config(*plan_);
-  if (config_.budget_override) {
-    cache_cfg.offload_budget = *config_.budget_override;
-  }
-  cache_cfg.forwarding = config_.forwarding;
-  cache_cfg.prefetch_lookahead = config_.prefetch_lookahead;
-  cache_ = std::make_unique<core::TensorCache>(node_->simulator(),
-                                               *offloader_, cache_cfg);
-  cache_->install_hooks(*model_);
-  executor_->attach_cache(cache_.get());
-
-  if (config_.strategy == Strategy::ssdtrain_cpu) {
-    // Pool sized from the planner's profile of the first step (paper
-    // §III-A), with headroom for in-flight transfers.
-    const auto pool = static_cast<util::Bytes>(
-        static_cast<double>(cache_cfg.offload_budget) * 1.25);
-    node_->pinned_pool().resize(
-        std::max<util::Bytes>(pool, util::gib(1)));
-  }
-}
-
-bool TrainingSession::cache_usable() const {
-  // After a structural fault the live machine (and the offloader's view of
-  // it) no longer matches the configuration fingerprint, so clean-machine
-  // cache entries must be neither used nor created.
-  return config_.program_cache != nullptr && program_key_ != nullptr &&
-         (injector_ == nullptr || injector_->structural_epoch() == 0);
-}
-
-void TrainingSession::rebalance_after_fault() {
-  if (!plan_.has_value() || cache_ == nullptr || config_.budget_override) {
-    return;
-  }
-  if (config_.strategy != Strategy::ssdtrain &&
-      config_.strategy != Strategy::ssdtrain_recompute) {
-    return;
-  }
-  core::PlannerInputs inputs;
-  inputs.model = config_.model;
-  inputs.parallel = config_.parallel;
-  inputs.gpu = config_.node.gpu;
-  inputs.target_write_bandwidth =
-      std::min(node_->array(config_.gpu_index).nominal_write_bandwidth(),
-               hw::effective_bandwidth(config_.node.pcie));
-  inputs.micro_batches = config_.micro_batches;
-  plan_ = core::plan_offload(inputs);
-  cache_->set_offload_budget(core::make_cache_config(*plan_).offload_budget);
+  malloc_hook_ =
+      Stage::install_malloc_hook(config_, *node_, config_.gpu_index);
+  core::PlannerInputs planner;
+  planner.model = config_.model;
+  planner.parallel = config_.parallel;
+  stage_ = Stage(config_, *node_, config_.gpu_index, std::move(planner),
+                 *executor_, *model_, malloc_hook_.get(), injector_.get());
+  Stage::size_pinned_pool(*node_, config_.strategy, stage_.offload_budget());
 }
 
 StepStats TrainingSession::run_step() {
   std::uint64_t invalidations = 0;
-  if (injector_ != nullptr &&
-      injector_->structural_epoch() != fault_epoch_seen_) {
-    fault_epoch_seen_ = injector_->structural_epoch();
-    // Structural fault since the last boundary: the recorded program's
-    // pack/load branch decisions may no longer match live offloader state,
-    // so it is discarded and the next step re-traces. Timing-only faults
-    // never reach this path.
-    if (program_ != nullptr) {
-      program_.reset();
-      ++invalidations;
-    }
-    rebalance_after_fault();
-  }
-  const auto& schedule = schedule_;
+  stage_.invalidate_after_fault(invalidations);
+  const Stage::StepMode mode =
+      stage_.next_step_mode(program_key_, schedule_, /*may_record=*/true);
   StepStats stats;
-  if (!config_.use_replay) {
-    stats = executor_->run_step(*model_, schedule);
-  } else if (program_ != nullptr) {
-    stats = executor_->replay(*program_, schedule);
-  } else if (!replay_active_) {
-    // A previous recording came back non-replayable: stay on the trace
-    // path for the rest of the session.
-    stats = executor_->run_step(*model_, schedule);
+  if (mode == Stage::StepMode::replay) {
+    stats = executor_->replay(*stage_.program(), schedule_);
+  } else if (mode == Stage::StepMode::trace) {
+    // Replay is off, or a recording came back non-replayable.
+    stats = executor_->run_step(*model_, schedule_);
   } else {
-    // First step. A program-cache hit (this process or a sibling shard's
-    // disk entry) skips the trace entirely: the executor materializes the
-    // cached weight set and replays from step 0. Otherwise trace through
-    // the module tree while compiling the program — every later step
-    // replays it — and publish the recording for the next same-config
-    // session.
-    std::shared_ptr<const StepProgram> cached;
-    if (cache_usable()) {
-      cached = config_.program_cache->lookup(*program_key_);
-      if (cached != nullptr &&
-          (!cached->replayable || cached->schedule != schedule_ ||
-           cached->uses_cache != (cache_ != nullptr))) {
-        // A key collision or stale entry that slipped past the fingerprint
-        // (should not happen; belt and braces) — treat as a miss.
-        cached = nullptr;
-      }
-    }
-    if (cached != nullptr) {
-      executor_->materialize_weights(*cached);
-      program_ = std::move(cached);
-      program_from_cache_ = true;
-      stats = executor_->replay(*program_, schedule);
-    } else {
-      auto program = std::make_shared<StepProgram>();
-      stats = executor_->record_step(*model_, schedule, *program);
-      if (program->replayable) {
-        if (cache_usable()) {
-          config_.program_cache->store(*program_key_, program);
-        }
-        program_ = std::move(program);
-      } else {
-        replay_active_ = false;
-        util::log_warning("step replay disabled for this session: " +
-                          program->invalid_reason);
-      }
-    }
+    // Trace while compiling the program every later step replays, and
+    // publish the recording for the next same-config session.
+    auto program = std::make_shared<StepProgram>();
+    stats = executor_->record_step(*model_, schedule_, *program);
+    stage_.seal(std::move(program), program_key_,
+                "step replay disabled for this session");
   }
-  if (offloader_ != nullptr) {
-    stats.offloader_totals = offloader_->stats();
-    stats.loaded_bytes = stats.offloader_totals.bytes_loaded;
-    const core::OffloaderStats& t = stats.offloader_totals;
-    stats.io_retries = t.io_retries - last_offloader_.io_retries;
-    stats.io_failures = t.io_failures - last_offloader_.io_failures;
-    stats.recompute_fallbacks =
-        t.recompute_fallbacks - last_offloader_.recompute_fallbacks;
-    stats.fault_stall_time =
-        (t.retry_backoff_time - last_offloader_.retry_backoff_time) +
-        (t.fault_extra_latency - last_offloader_.fault_extra_latency) +
-        (t.recompute_fallback_time - last_offloader_.recompute_fallback_time);
-    last_offloader_ = t;
-  }
+  stage_.take_offloader_deltas(stats);
   stats.program_invalidations = invalidations;
-  finish_step_accounting(stats);
+  ledger_.finish_step(stats);
   return stats;
-}
-
-bool TrainingSession::checkpoint_due() const {
-  const ckpt::CheckpointPolicy& policy = config_.checkpoint;
-  if (policy.every_steps > 0) {
-    return steps_since_commit_ >= policy.every_steps;
-  }
-  const sim::TimePoint now = node_->simulator().now();
-  if (policy.every_seconds > 0.0) {
-    return now - last_commit_wall_ >= policy.every_seconds;
-  }
-  if (policy.auto_interval) {
-    // Young–Daly needs the checkpoint cost; the first boundary commits
-    // unconditionally to measure it, then sqrt(2*C*MTBF) takes over.
-    if (!auto_cost_known_) return true;
-    return now - last_commit_wall_ >= auto_interval_;
-  }
-  return false;
-}
-
-void TrainingSession::finish_step_accounting(StepStats& stats) {
-  if (injector_ != nullptr && !injector_->pending_crashes().empty()) {
-    const std::vector<fault::CrashRecord> crashes = injector_->take_crashes();
-    sim::TimePoint earliest = 0.0;
-    bool mine = false;
-    for (const fault::CrashRecord& crash : crashes) {
-      if (crash.gpu != config_.gpu_index) continue;  // idle GPU, no state
-      earliest = mine ? std::min(earliest, crash.at) : crash.at;
-      mine = true;
-    }
-    if (mine) {
-      util::check(ckpt_writer_ != nullptr,
-                  "stage-crash lose=state fired (via trigger) but no "
-                  "checkpoint policy is configured — enable "
-                  "--ckpt-interval/--ckpt-auto before injecting "
-                  "destructive crashes");
-      // The crash wiped this step's work and everything since the last
-      // commit: restore the newest committed checkpoint over the same
-      // contended links and roll the logical step counter back to it.
-      const util::Seconds lost =
-          std::max(0.0, earliest - ckpt_writer_->last_commit_time());
-      const ckpt::RestoreResult restore =
-          ckpt_writer_->restore({config_.gpu_index});
-      stats.restore_time = restore.time;
-      stats.rollback_steps = logical_step_ + 1 - restore.step;
-      stats.lost_work_time = lost;
-      stats.step_time += restore.time;
-      ++restores_;
-      restore_time_total_ += restore.time;
-      lost_work_total_ += lost;
-      rollback_total_ += stats.rollback_steps;
-      provisional_useful_ = 0.0;  // forfeited with the crash
-      logical_step_ = restore.step;
-      steps_since_commit_ = 0;
-      last_commit_wall_ = node_->simulator().now();
-      return;
-    }
-  }
-
-  ++logical_step_;
-  provisional_useful_ += stats.step_time;
-  if (ckpt_writer_ == nullptr) return;
-  ++steps_since_commit_;
-  if (!checkpoint_due()) return;
-
-  const ckpt::CheckpointCommit commit = ckpt_writer_->write(logical_step_);
-  stats.checkpoint_time = commit.time;
-  stats.checkpoint_bytes = commit.bytes;
-  stats.step_time += commit.time;
-  checkpoint_time_total_ += commit.time;
-  committed_useful_ += provisional_useful_;
-  provisional_useful_ = 0.0;
-  steps_since_commit_ = 0;
-  last_commit_wall_ = commit.committed_at;
-  if (config_.checkpoint.auto_interval && !auto_cost_known_) {
-    auto_interval_ =
-        ckpt::young_daly_interval(commit.time, config_.checkpoint.mtbf);
-    auto_cost_known_ = true;
-  }
-}
-
-ckpt::GoodputReport TrainingSession::goodput() {
-  ckpt::GoodputReport report;
-  report.wall_clock = node_->simulator().now();
-  report.useful_time = committed_useful_ + provisional_useful_;
-  report.checkpoint_time = checkpoint_time_total_;
-  report.restore_time = restore_time_total_;
-  report.lost_work_time = lost_work_total_;
-  report.checkpoints =
-      ckpt_writer_ != nullptr ? ckpt_writer_->committed_count() : 0;
-  report.restores = restores_;
-  report.rollback_steps = rollback_total_;
-  report.checkpoint_bytes =
-      ckpt_writer_ != nullptr ? ckpt_writer_->bytes_written() : 0;
-  return report;
 }
 
 std::vector<StepStats> TrainingSession::run_steps(int n) {

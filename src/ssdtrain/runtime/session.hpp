@@ -12,100 +12,21 @@
 #include <optional>
 #include <vector>
 
-#include "ssdtrain/ckpt/policy.hpp"
-#include "ssdtrain/core/offloader.hpp"
-#include "ssdtrain/core/planner.hpp"
-#include "ssdtrain/core/tensor_cache.hpp"
-#include "ssdtrain/fault/injector.hpp"
+#include "ssdtrain/ckpt/ledger.hpp"
 #include "ssdtrain/hw/catalog.hpp"
-#include "ssdtrain/hw/node.hpp"
-#include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/executor.hpp"
-#include "ssdtrain/runtime/step_stats.hpp"
-
-namespace ssdtrain::ckpt {
-class CheckpointWriter;  // ckpt/writer.hpp
-}  // namespace ssdtrain::ckpt
+#include "ssdtrain/runtime/stage.hpp"
 
 namespace ssdtrain::runtime {
 
-class ProgramCache;  // program_cache.hpp
-struct ProgramKey;   // program_cache.hpp
-
-/// Activation-placement strategy (the three corners of the paper's
-/// recompute-offload-keep design space, plus the CPU-offload variant).
-enum class Strategy {
-  keep_in_gpu,      ///< baseline: everything stays in device memory
-  ssdtrain,         ///< offload to NVMe via GDS (the paper's system)
-  ssdtrain_cpu,     ///< offload to pinned host memory (CPU offloader)
-  recompute_full,   ///< layerwise full recomputation baseline
-  /// Hybrid: activation checkpointing whose checkpoints are themselves
-  /// offloaded to SSD, with rematerialised tensors kept in GPU memory by
-  /// Alg. 1's in-backward branch — the minimum-memory corner of the ROK
-  /// space and the interoperability case the paper's Alg. 1 line 5 covers.
-  ssdtrain_recompute,
-};
-
-std::string_view to_string(Strategy strategy);
-
-/// Inverse of to_string; unknown names are contract violations. Used by
-/// the sweep-driven benches, whose string strategy axes round-trip here.
-Strategy strategy_from(std::string_view name);
-
-struct SessionConfig {
-  modules::ModelConfig model;
-  parallel::ParallelConfig parallel;
+struct SessionConfig : TrainingConfig {
   hw::NodeConfig node = hw::catalog::table2_evaluation_node();
   /// The paper instruments the GPU attached to the 4-SSD array.
   int gpu_index = hw::catalog::table2_measured_gpu;
-  Strategy strategy = Strategy::ssdtrain;
-  int micro_batches = 1;  ///< gradient-accumulation count
-
-  /// Step-graph record/replay (on by default): the first run_step traces
-  /// through the module tree while recording a StepProgram; every later
-  /// step replays the flattened program, bit-identically and much faster.
-  /// Disable (--no-replay in the benches) to force the legacy trace path
-  /// on every step for A/B comparison.
-  bool use_replay = true;
-
-  /// Optional shared program cache (requires use_replay). When set, the
-  /// session looks its configuration fingerprint up before tracing — a hit
-  /// (from this process or a cache directory another process populated)
-  /// replays from step 0 and never traces — and publishes its own recording
-  /// on a miss. Once a structural fault fires the session stops consulting
-  /// and feeding the cache (the degraded machine is not part of the key).
-  /// Not owned; must outlive the session.
-  ProgramCache* program_cache = nullptr;
-
-  // SSDTrain knobs (ablations):
-  bool use_gds = true;
-  bool forwarding = true;
-  int prefetch_lookahead = 1;
-  bool install_malloc_hook = true;
-  int store_workers = 2;
-  int load_workers = 2;
-  /// Overrides the planner's offload budget when set.
-  std::optional<util::Bytes> budget_override;
-
-  /// Seeded fault injection (empty spec list = disabled; the no-fault path
-  /// is byte-identical to a session without the fault layer).
-  fault::FaultConfig faults;
-  /// Offload retry/backoff knobs; the injector pointer is filled in by the
-  /// session.
-  core::OffloadFaultPolicy fault_policy;
-
-  /// Crash-consistent checkpointing to the offload SSDs (disabled by
-  /// default — the zero-overhead path is byte-identical to a session
-  /// without the checkpoint layer). Required before any stage-crash fault
-  /// with lose=state: a destructive crash is only recoverable from a
-  /// committed checkpoint.
-  ckpt::CheckpointPolicy checkpoint;
 };
 
 class TrainingSession {
  public:
   explicit TrainingSession(SessionConfig config);
-  ~TrainingSession();
   TrainingSession(const TrainingSession&) = delete;
   TrainingSession& operator=(const TrainingSession&) = delete;
 
@@ -120,21 +41,23 @@ class TrainingSession {
   [[nodiscard]] modules::Model& model() { return *model_; }
   [[nodiscard]] Executor& executor() { return *executor_; }
   /// Null unless the strategy uses the tensor cache.
-  [[nodiscard]] core::TensorCache* cache() { return cache_.get(); }
-  [[nodiscard]] core::Offloader* offloader() { return offloader_.get(); }
+  [[nodiscard]] core::TensorCache* cache() { return stage_.cache(); }
+  [[nodiscard]] core::Offloader* offloader() { return stage_.offloader(); }
   /// The adaptive planner's decision (engaged for offloading strategies).
   [[nodiscard]] const std::optional<core::OffloadPlan>& plan() const {
-    return plan_;
+    return stage_.plan();
   }
 
   /// The recorded step program, once the first step has run with replay
   /// enabled (null before that, after a recording failure, or with
   /// use_replay = false).
-  [[nodiscard]] const StepProgram* program() const { return program_.get(); }
+  [[nodiscard]] const StepProgram* program() const { return stage_.program(); }
 
   /// True when the active program came from the program cache rather than
   /// this session's own trace (it never traced).
-  [[nodiscard]] bool program_from_cache() const { return program_from_cache_; }
+  [[nodiscard]] bool program_from_cache() const {
+    return stage_.program_from_cache();
+  }
 
   /// Null unless config.faults has specs. Benches and tests use it to
   /// trigger structural faults at step boundaries and read the fault log.
@@ -143,68 +66,32 @@ class TrainingSession {
   /// Null unless config.checkpoint is enabled. Exposes commit/restore
   /// telemetry, the trace timeline, and the torn-blob test hook.
   [[nodiscard]] ckpt::CheckpointWriter* checkpoint_writer() {
-    return ckpt_writer_.get();
+    return ledger_.writer();
   }
 
   /// Steps durably completed: committed step count after rollbacks. Equals
   /// the number of run_step calls only when no crash rolled work back.
-  [[nodiscard]] std::uint64_t logical_step() const { return logical_step_; }
+  [[nodiscard]] std::uint64_t logical_step() const {
+    return ledger_.logical_step();
+  }
 
   /// Wall-clock decomposition so far: useful step time vs checkpoint,
   /// restore, and lost-work overhead. All zeros (with goodput 1.0 once
   /// steps ran) without a checkpoint policy or crashes.
-  [[nodiscard]] ckpt::GoodputReport goodput();
+  [[nodiscard]] ckpt::GoodputReport goodput() { return ledger_.goodput(); }
 
  private:
-  /// The policy says a commit is due at this (post-step) boundary.
-  [[nodiscard]] bool checkpoint_due() const;
-  /// Post-step checkpoint/recovery driver: consumes pending destructive
-  /// crashes (restore + rollback) or commits a due checkpoint, and keeps
-  /// the goodput ledger.
-  void finish_step_accounting(StepStats& stats);
-  /// Re-runs the adaptive planner against the degraded machine (a dropped
-  /// RAID member shrinks the array's sustainable write bandwidth) and
-  /// installs the rebalanced budget into the live cache.
-  void rebalance_after_fault();
-  /// A cache is configured and no structural fault has fired yet.
-  [[nodiscard]] bool cache_usable() const;
-
   SessionConfig config_;
   std::unique_ptr<hw::TrainingNode> node_;
   std::unique_ptr<modules::Model> model_;
   std::unique_ptr<Executor> executor_;
   std::unique_ptr<core::CudaMallocHookLibrary> malloc_hook_;
-  std::unique_ptr<core::Offloader> offloader_;
-  std::unique_ptr<core::TensorCache> cache_;
-  std::optional<core::OffloadPlan> plan_;
-  std::shared_ptr<const StepProgram> program_;
-  std::unique_ptr<ProgramKey> program_key_;  ///< set iff a cache is attached
-  bool program_from_cache_ = false;
+  Stage stage_;
+  ProgramKey program_key_;  ///< empty unless a program cache is attached
   std::vector<sched::Command> schedule_;
-  bool replay_active_ = false;  ///< false after a non-replayable recording
   std::unique_ptr<fault::FaultInjector> injector_;
-  /// Last structural epoch acted on; a moved epoch at a step boundary
-  /// discards the recorded program (structural faults re-trace, timing
-  /// faults replay).
-  std::uint64_t fault_epoch_seen_ = 0;
-  core::OffloaderStats last_offloader_;  ///< snapshot for per-step deltas
-
-  // Checkpoint / recovery state (inert without a policy).
-  std::unique_ptr<ckpt::CheckpointWriter> ckpt_writer_;
-  std::uint64_t logical_step_ = 0;     ///< committed steps (rolls back)
-  int steps_since_commit_ = 0;
-  sim::TimePoint last_commit_wall_ = 0.0;
-  util::Seconds auto_interval_ = 0.0;  ///< Young–Daly, once cost is known
-  bool auto_cost_known_ = false;
-  // Goodput ledger: provisional step time becomes useful at the next
-  // commit and is forfeited by a crash.
-  util::Seconds committed_useful_ = 0.0;
-  util::Seconds provisional_useful_ = 0.0;
-  util::Seconds checkpoint_time_total_ = 0.0;
-  util::Seconds restore_time_total_ = 0.0;
-  util::Seconds lost_work_total_ = 0.0;
-  std::uint64_t restores_ = 0;
-  std::uint64_t rollback_total_ = 0;
+  /// Checkpoint / recovery / goodput state (inert without a policy).
+  ckpt::RecoveryLedger ledger_;
 };
 
 }  // namespace ssdtrain::runtime

@@ -488,6 +488,29 @@ TEST(CkptSession, TriggeredLoseStateWithoutPolicyFailsLoudly) {
   EXPECT_THROW(session.run_step(), u::ContractViolation);
 }
 
+TEST(CkptCluster, TriggeredLoseStateWithoutPolicyFailsLoudly) {
+  // The cluster's counterpart of the session test above: a crash injected
+  // through trigger() on a stage GPU must not be silently ignored.
+  rt::ClusterConfig config;
+  config.model = m::bert_config(2048, 2, 2);
+  config.parallel.pipeline_parallel = 2;
+  f::FaultSpec quiet;
+  quiet.kind = f::FaultKind::ssd_latency;
+  quiet.latency = 1e-9;
+  quiet.duration = 1e-9;
+  config.faults.specs = {quiet};
+  rt::ClusterSession session(std::move(config));
+  session.run_step();
+
+  f::FaultSpec crash;
+  crash.kind = f::FaultKind::stage_crash;
+  crash.gpu = 1;
+  crash.duration = 0.001;
+  crash.lose = f::CrashLoss::state;
+  session.injector()->trigger(crash);
+  EXPECT_THROW(session.run_step(), u::ContractViolation);
+}
+
 /// Arms the injector without perturbing anything: the window closes at
 /// t=1ns, before any offload I/O can begin. Both runs of a crash-vs-clean
 /// comparison carry it so the fault layer's presence is identical.
@@ -634,6 +657,55 @@ TEST(CkptCluster, PipelineCrashRollsBackAllStagesAndReplays) {
   const ck::GoodputReport report = crashed.goodput();
   EXPECT_EQ(report.restores, 1u);
   EXPECT_GT(report.lost_work_time, 0.0);
+}
+
+/// A destructive crash on a GPU that runs no stage loses no state: neither
+/// engine restores or rolls back, and the logical step keeps counting.
+/// Both engines run on a two-GPU node with the stage on GPU 0.
+f::FaultSpec idle_gpu_crash() {
+  f::FaultSpec crash;
+  crash.kind = f::FaultKind::stage_crash;
+  crash.gpu = 1;
+  crash.duration = 0.001;
+  crash.lose = f::CrashLoss::state;
+  return crash;
+}
+
+TEST(CkptSession, CrashOnIdleGpuDoesNotRollBack) {
+  rt::SessionConfig config =
+      small_config(m::bert_config(2048, 2, 2), rt::Strategy::ssdtrain);
+  config.node = hw::catalog::cluster_node(2, 4);
+  config.gpu_index = 0;
+  config.checkpoint.every_steps = 2;
+  config.faults = armed_but_quiet();
+  rt::TrainingSession session(config);
+  session.run_steps(3);
+
+  session.injector()->trigger(idle_gpu_crash());
+  const rt::StepStats stats = session.run_step();
+  EXPECT_EQ(stats.rollback_steps, 0u);
+  EXPECT_EQ(stats.restore_time, 0.0);
+  EXPECT_EQ(stats.lost_work_time, 0.0);
+  EXPECT_EQ(session.logical_step(), 4u);
+  EXPECT_EQ(session.goodput().restores, 0u);
+}
+
+TEST(CkptCluster, CrashOnIdleGpuDoesNotRollBack) {
+  rt::ClusterConfig config;
+  config.model = m::bert_config(2048, 2, 2);
+  config.node = hw::catalog::cluster_node(2, 4);  // pp = 1: GPU 1 is idle
+  config.checkpoint.every_steps = 2;
+  config.faults = armed_but_quiet();
+  rt::ClusterSession session(std::move(config));
+  session.run_steps(3);
+
+  session.injector()->trigger(idle_gpu_crash());
+  const rt::ClusterStepStats stats = session.run_step();
+  EXPECT_EQ(stats.combined.rollback_steps, 0u);
+  EXPECT_EQ(stats.combined.restore_time, 0.0);
+  EXPECT_EQ(stats.combined.lost_work_time, 0.0);
+  EXPECT_EQ(session.logical_step(), 4u);
+  EXPECT_EQ(session.goodput().restores, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "ssdtrain/ckpt/policy.hpp"
+#include "ssdtrain/fault/fault.hpp"
+#include "ssdtrain/fault/injector.hpp"
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/parallel/zero.hpp"
 #include "ssdtrain/runtime/cluster_session.hpp"
@@ -18,6 +21,8 @@
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/units.hpp"
 
+namespace ck = ssdtrain::ckpt;
+namespace f = ssdtrain::fault;
 namespace rt = ssdtrain::runtime;
 namespace m = ssdtrain::modules;
 namespace sc = ssdtrain::sched;
@@ -70,6 +75,41 @@ void expect_equal(const rt::StepStats& a, const rt::StepStats& b,
             b.offloader_totals.failed_stores);
 }
 
+/// The StepStats fields expect_equal leaves out: the fault, retry,
+/// recovery and program counters, and the rest of the cache and offloader
+/// snapshots. Together the two cover every field.
+void expect_equal_fault_fields(const rt::StepStats& a, const rt::StepStats& b,
+                               const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.io_retries, b.io_retries);
+  EXPECT_EQ(a.io_failures, b.io_failures);
+  EXPECT_EQ(a.recompute_fallbacks, b.recompute_fallbacks);
+  EXPECT_EQ(a.fault_stall_time, b.fault_stall_time);
+  EXPECT_EQ(a.program_invalidations, b.program_invalidations);
+  EXPECT_EQ(a.checkpoint_time, b.checkpoint_time);
+  EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes);
+  EXPECT_EQ(a.restore_time, b.restore_time);
+  EXPECT_EQ(a.rollback_steps, b.rollback_steps);
+  EXPECT_EQ(a.lost_work_time, b.lost_work_time);
+
+  EXPECT_EQ(a.cache.passthrough_weight, b.cache.passthrough_weight);
+  EXPECT_EQ(a.cache.passthrough_cpu, b.cache.passthrough_cpu);
+  EXPECT_EQ(a.cache.passthrough_small, b.cache.passthrough_small);
+  EXPECT_EQ(a.cache.kept_offloader_refused, b.cache.kept_offloader_refused);
+  EXPECT_EQ(a.cache.kept_store_failed, b.cache.kept_store_failed);
+
+  const auto& x = a.offloader_totals;
+  const auto& y = b.offloader_totals;
+  EXPECT_EQ(x.io_retries, y.io_retries);
+  EXPECT_EQ(x.io_failures, y.io_failures);
+  EXPECT_EQ(x.store_faults, y.store_faults);
+  EXPECT_EQ(x.load_faults, y.load_faults);
+  EXPECT_EQ(x.recompute_fallbacks, y.recompute_fallbacks);
+  EXPECT_EQ(x.retry_backoff_time, y.retry_backoff_time);
+  EXPECT_EQ(x.fault_extra_latency, y.fault_extra_latency);
+  EXPECT_EQ(x.recompute_fallback_time, y.recompute_fallback_time);
+}
+
 std::vector<m::ModelConfig> model_grid(int layers) {
   return {
       m::bert_config(2048, layers, 2),
@@ -120,6 +160,75 @@ TEST(ClusterIdentity, DegenerateClusterMatchesTrainingSession) {
         ASSERT_EQ(b.per_stage.size(), 1u) << what;
       }
     }
+  }
+}
+
+// The same 1/1/1 identity through checkpoint commits and one destructive
+// crash: both engines run the shared recovery ledger, so the commit,
+// restore, rollback and lost-work fields and the goodput report match bit
+// for bit.
+TEST(ClusterIdentity, DegenerateClusterRecoveryMatchesTrainingSession) {
+  f::FaultSpec quiet;  // arms the injector without perturbing anything
+  quiet.kind = f::FaultKind::ssd_latency;
+  quiet.latency = 1e-9;
+  quiet.duration = 1e-9;
+  f::FaultConfig faults;
+  faults.specs = {quiet};
+  faults.seed = 11;
+  f::FaultSpec crash;
+  crash.kind = f::FaultKind::stage_crash;
+  crash.gpu = 0;
+  crash.duration = 0.01;
+  crash.lose = f::CrashLoss::state;
+
+  for (rt::Strategy strategy :
+       {rt::Strategy::ssdtrain, rt::Strategy::keep_in_gpu,
+        rt::Strategy::ssdtrain_cpu}) {
+    const std::string what(to_string(strategy));
+
+    rt::SessionConfig single_cfg;
+    single_cfg.model = m::bert_config(2048, 2, 2);
+    single_cfg.node = ssdtrain::hw::catalog::cluster_node(1, 4);
+    single_cfg.gpu_index = 0;
+    single_cfg.strategy = strategy;
+    single_cfg.micro_batches = 2;
+    single_cfg.checkpoint.every_steps = 2;
+    single_cfg.faults = faults;
+    rt::TrainingSession single(single_cfg);
+
+    rt::ClusterConfig cluster_cfg;
+    static_cast<rt::TrainingConfig&>(cluster_cfg) = single_cfg;
+    rt::ClusterSession cluster(std::move(cluster_cfg));
+
+    for (int step = 0; step < 8; ++step) {
+      if (step == 3) {
+        single.injector()->trigger(crash);
+        cluster.injector()->trigger(crash);
+      }
+      const rt::StepStats a = single.run_step();
+      const rt::StepStats b = cluster.run_step().combined;
+      const std::string at = what + " step " + std::to_string(step);
+      expect_equal(a, b, at);
+      expect_equal_fault_fields(a, b, at);
+      EXPECT_EQ(single.logical_step(), cluster.logical_step()) << at;
+      if (step == 3) {
+        EXPECT_GT(a.rollback_steps, 0u) << at;
+      }
+    }
+
+    const ck::GoodputReport a = single.goodput();
+    const ck::GoodputReport b = cluster.goodput();
+    EXPECT_EQ(a.wall_clock, b.wall_clock) << what;
+    EXPECT_EQ(a.useful_time, b.useful_time) << what;
+    EXPECT_EQ(a.checkpoint_time, b.checkpoint_time) << what;
+    EXPECT_EQ(a.restore_time, b.restore_time) << what;
+    EXPECT_EQ(a.lost_work_time, b.lost_work_time) << what;
+    EXPECT_EQ(a.checkpoints, b.checkpoints) << what;
+    EXPECT_EQ(a.restores, 1u) << what;
+    EXPECT_EQ(a.restores, b.restores) << what;
+    EXPECT_EQ(a.rollback_steps, b.rollback_steps) << what;
+    EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes) << what;
+    EXPECT_EQ(a.goodput(), b.goodput()) << what;
   }
 }
 
