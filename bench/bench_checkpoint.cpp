@@ -26,14 +26,12 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ssdtrain/ckpt/policy.hpp"
 #include "ssdtrain/fault/fault.hpp"
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
 #include "ssdtrain/sweep/cli.hpp"
 #include "ssdtrain/sweep/runner.hpp"
@@ -52,7 +50,6 @@ namespace u = ssdtrain::util;
 namespace {
 
 sweep::CliOptions g_cli;
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 /// Simulated horizon per cell, in MTBFs: long enough that the crash phases
 /// equidistribute and the goodput landscape is the curve, not one lucky
 /// crash placement.
@@ -79,16 +76,12 @@ struct CheckpointPoint {
 
 rt::SessionConfig make_config(int interval_steps) {
   rt::SessionConfig config;
-  config.use_replay = !g_cli.no_replay;
   config.model = m::bert_config(2048, 2, 4);
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::Strategy::ssdtrain;
   config.micro_batches = 2;
-  if (g_cli.faults_enabled()) {
-    config.faults = g_cli.fault_config();
-  } else {
+  g_cli.apply(config);
+  if (!g_cli.faults_enabled()) {
     // Inert arming spec: the injector must exist for trigger(), and an
     // injector-armed no-window run is byte-identical to an unarmed one.
     f::FaultSpec arm;
@@ -99,9 +92,7 @@ rt::SessionConfig make_config(int interval_steps) {
     config.faults.specs = {arm};
     config.faults.seed = g_cli.fault_seed != 0 ? g_cli.fault_seed : 7;
   }
-  if (g_cli.checkpoint_enabled()) {
-    config.checkpoint = g_cli.checkpoint_policy();
-  } else {
+  if (!g_cli.checkpoint_enabled()) {
     config.checkpoint.every_steps = interval_steps;
   }
   return config;
@@ -243,10 +234,6 @@ int run_verify() {
 
 int main(int argc, char** argv) {
   g_cli = sweep::parse_cli(argc, argv);
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
   const bool smoke =
       !g_cli.positional.empty() && g_cli.positional[0] == "smoke";
   if (!g_cli.positional.empty() && g_cli.positional[0] == "verify") {

@@ -20,7 +20,6 @@
 
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/runtime/cluster_session.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/sched/schedule.hpp"
 #include "ssdtrain/sweep/chaos_exec.hpp"
 #include "ssdtrain/sweep/cli.hpp"
@@ -42,14 +41,8 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
+// The session flags, applied to every measured session.
 sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 int g_measure_steps = 4;
 
 struct ScalePoint {
@@ -62,7 +55,6 @@ ScalePoint measure(const sweep::SweepPoint& point) {
   const int pp = static_cast<int>(point.i64("pp"));
 
   rt::ClusterConfig config;
-  config.use_replay = g_use_replay;
   // Weak scaling: 2 layers and 2 micro-batches per stage keep per-GPU work
   // constant as the pipeline deepens.
   config.model = m::bert_config(2048, 2 * pp, 4);
@@ -70,12 +62,10 @@ ScalePoint measure(const sweep::SweepPoint& point) {
   config.parallel.pipeline_parallel = pp;
   config.parallel.data_parallel = 2;
   config.parallel.zero = ssdtrain::parallel::ZeroStage::stage2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::strategy_from(point.str("strategy"));
-  if (g_cli.faults_enabled()) config.faults = g_cli.fault_config();
   config.micro_batches = 2 * pp;
   config.schedule = sched::PipelineKind::one_f_one_b;
+  g_cli.apply(config);
   rt::ClusterSession session(std::move(config));
 
   // Step 1 traces and records every stage's program; the timed window then
@@ -96,12 +86,7 @@ ScalePoint measure(const sweep::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
   g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
   const bool smoke =
       !options.positional.empty() && options.positional[0] == "smoke";
 

@@ -56,7 +56,7 @@ void print_series(const Series& series, const SeriesResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
+  const auto options = sweep::parse_grid_cli(argc, argv);
 
   const std::vector<Series> series = {
       {a::TrendSeries::gpu_fp16_throughput, "GPU/TPU FP16 throughput",

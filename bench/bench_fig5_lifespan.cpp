@@ -32,7 +32,7 @@ namespace sweep = ssdtrain::sweep;
 namespace u = ssdtrain::util;
 
 int main(int argc, char** argv) {
-  const auto options = sweep::parse_cli(argc, argv);
+  const auto options = sweep::parse_grid_cli(argc, argv);
 
   std::cout << "=== Fig. 5: SSD lifespan / write bandwidth / activation "
                "volume at scale ===\n"

@@ -11,12 +11,10 @@
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
 #include "ssdtrain/sweep/cli.hpp"
 #include "ssdtrain/sweep/runner.hpp"
@@ -33,14 +31,8 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
+// The session flags, applied to every measured session.
 sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 
 using ConfigFactory = m::ModelConfig (*)(std::int64_t, int, std::int64_t);
 
@@ -61,12 +53,10 @@ struct Point {
 
 rt::StepStats measure(const Point& p) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = p.config.make(p.config.hidden, p.config.layers, 16);
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = p.strategy;
+  g_cli.apply(config);
   rt::TrainingSession session(std::move(config));
   session.run_step();  // warm-up
   return session.run_step();
@@ -76,12 +66,7 @@ rt::StepStats measure(const Point& p) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
   g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
 
   const std::vector<Case> cases = {
       {&m::bert_config, 8192, 4},  {&m::bert_config, 12288, 3},

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <map>
 #include <string>
 #include <tuple>
@@ -21,7 +20,6 @@
 
 #include "ssdtrain/hw/device_allocator.hpp"
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
 #include "ssdtrain/sweep/cli.hpp"
 #include "ssdtrain/sweep/runner.hpp"
@@ -40,14 +38,8 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
+// The session flags, applied to every measured session.
 sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 
 // The paper's three strategies plus the hybrid extension (checkpointing
 // whose checkpoints are offloaded): the minimum-memory corner.
@@ -62,12 +54,10 @@ struct RokPoint {
 
 RokPoint measure(const sweep::SweepPoint& point) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = m::bert_config(point.i64("hidden"), 3, point.i64("batch"));
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::strategy_from(point.str("strategy"));
+  g_cli.apply(config);
   RokPoint result;
   try {
     rt::TrainingSession session(std::move(config));
@@ -138,12 +128,7 @@ void rok_curve(std::int64_t hidden, const RokResults& results) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
   g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
 
   std::vector<std::string> strategy_names;
   for (rt::Strategy s : kStrategies) {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "ssdtrain/modules/model.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/runtime/session.hpp"
 #include "ssdtrain/sweep/chaos_exec.hpp"
 #include "ssdtrain/sweep/cli.hpp"
@@ -40,14 +39,8 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
+// The session flags, applied to every measured session.
 sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 
 struct MoePoint {
   rt::StepStats stats;
@@ -56,14 +49,12 @@ struct MoePoint {
 
 MoePoint measure(const sweep::SweepPoint& point) {
   rt::SessionConfig config;
-  config.use_replay = g_use_replay;
   config.model = m::gpt_moe_config(
       4096, 3, 8, static_cast<int>(point.i64("experts")),
       static_cast<int>(point.i64("top_k")));
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::strategy_from(point.str("strategy"));
+  g_cli.apply(config);
   rt::TrainingSession session(std::move(config));
   session.run_step();  // warm-up
   MoePoint result;
@@ -79,12 +70,7 @@ MoePoint measure(const sweep::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
   g_cli = options;
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
 
   sweep::SweepSpec spec;
   spec.axis("experts", std::vector<std::int64_t>{4, 8, 16})

@@ -54,7 +54,7 @@ namespace rt = ssdtrain::runtime;
 namespace sweep = ssdtrain::sweep;
 namespace u = ssdtrain::util;
 
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
+// The session flags, applied to every measured session.
 sweep::CliOptions g_cli;
 
 /// Scratch directory for the warm-disk tier; removed on destruction.
@@ -90,8 +90,9 @@ rt::SessionConfig session_config(const Case& c) {
   rt::SessionConfig config;
   config.model = c.model;
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
   config.strategy = c.strategy;
+  g_cli.apply(config);
+  config.program_cache = nullptr;  // each mode picks its own cache
   return config;
 }
 

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,6 @@
 #include "ssdtrain/fault/fault.hpp"
 #include "ssdtrain/modules/model.hpp"
 #include "ssdtrain/runtime/cluster_session.hpp"
-#include "ssdtrain/runtime/program_cache.hpp"
 #include "ssdtrain/sched/schedule.hpp"
 #include "ssdtrain/sweep/cli.hpp"
 #include "ssdtrain/sweep/runner.hpp"
@@ -57,10 +55,6 @@ namespace u = ssdtrain::util;
 namespace {
 
 sweep::CliOptions g_cli;
-// Shared program cache: repeated-config points skip their trace step, and
-// --program-cache DIR extends the sharing to sibling shard processes
-// (--no-program-cache disables it for cold-trace A/B runs).
-std::unique_ptr<rt::ProgramCache> g_program_cache;
 int g_measure_steps = 6;
 int g_recover_cap = 8;
 int g_crash_count = 3;  ///< stage crashes per goodput-vs-MTBF run
@@ -83,18 +77,16 @@ struct ResiliencePoint {
   double goodput_ckpt = 0.0;
 };
 
-/// Builds the cell's base cluster config (no fault specs attached).
+/// Builds the cell's base cluster config with the session flags applied.
 rt::ClusterConfig cell_config(const sweep::SweepPoint& point) {
   const int pp = static_cast<int>(point.i64("pp"));
   rt::ClusterConfig config;
-  config.use_replay = !g_cli.no_replay;
   config.model = m::bert_config(2048, 2 * pp, 4);
   config.parallel.pipeline_parallel = pp;
-  g_cli.apply_parallel(config.parallel);
-  config.program_cache = g_program_cache.get();
   config.strategy = rt::strategy_from(point.str("strategy"));
   config.micro_batches = 2 * pp;
   config.schedule = sched::PipelineKind::one_f_one_b;
+  g_cli.apply(config);
   return config;
 }
 
@@ -116,6 +108,7 @@ double crash_goodput(const sweep::SweepPoint& point, double mtbf,
   config.faults.specs = {arm};
   config.faults.seed = g_cli.fault_seed != 0 ? g_cli.fault_seed : 7;
   if (destructive) {
+    config.checkpoint = ck::CheckpointPolicy{};  // over any --ckpt-* cadence
     config.checkpoint.auto_interval = true;
     config.checkpoint.mtbf = mtbf;
   }
@@ -150,11 +143,9 @@ ResiliencePoint measure(const sweep::SweepPoint& point) {
   const double rate = point.f64("rate");
 
   rt::ClusterConfig config = cell_config(point);
-  if (g_cli.faults_enabled()) {
-    // Explicit --faults overrides the bench's generated specs (the rate
-    // axis then only varies the label).
-    config.faults = g_cli.fault_config();
-  } else if (rate > 0.0) {
+  // Explicit --faults overrides the bench's generated specs (the rate axis
+  // then only varies the label).
+  if (!g_cli.faults_enabled() && rate > 0.0) {
     f::FaultSpec errors;
     errors.kind = f::FaultKind::io_error;
     errors.rate = rate;
@@ -219,10 +210,6 @@ ResiliencePoint measure(const sweep::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   g_cli = sweep::parse_cli(argc, argv);
-  if (g_cli.program_cache_enabled()) {
-    g_program_cache = std::make_unique<rt::ProgramCache>(
-        rt::ProgramCacheConfig{g_cli.program_cache_dir});
-  }
   const bool smoke =
       !g_cli.positional.empty() && g_cli.positional[0] == "smoke";
 

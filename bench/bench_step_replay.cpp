@@ -79,7 +79,7 @@ namespace rt = ssdtrain::runtime;
 namespace sweep = ssdtrain::sweep;
 namespace u = ssdtrain::util;
 
-// --pp/--tp/--dp/--zero override each measured session's parallelism.
+// The session flags, applied to every measured session.
 sweep::CliOptions g_cli;
 
 struct Case {
@@ -104,9 +104,12 @@ Result run_mode(const Case& c, bool replay, int warm_steps, int steps,
   rt::SessionConfig config;
   config.model = c.model;
   config.parallel.tensor_parallel = 2;
-  g_cli.apply_parallel(config.parallel);
   config.strategy = c.strategy;
+  g_cli.apply(config);
+  // The A/B this bench measures: the trace path against replay of the
+  // session's own recording, with no shared program cache.
   config.use_replay = replay;
+  config.program_cache = nullptr;
   rt::TrainingSession session(std::move(config));
 
   // Step 1 builds weights and (in replay mode) records the program; the

@@ -12,7 +12,8 @@
 // side by side with the measured one — the measured bubble sits above the
 // ideal because pipeline sends contend with SSD offload traffic on each
 // GPU's PCIe link. The micro-batch axis runs as a sweep (--workers N);
-// --csv PATH dumps the series; --pp/--tp override the pipeline shape.
+// --csv PATH dumps the series; the session flags apply to every session
+// (--pp/--tp override the pipeline shape).
 
 #include <cstdint>
 #include <iostream>
@@ -38,12 +39,6 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-// --pp/--tp override the cluster shape (defaults: PP4 TP2).
-int g_pipeline_stages = 4;
-int g_tensor_parallel = 2;
-
 constexpr int kMiniBatchSamples = 32;  // per DP rank, as in BLOOM
 constexpr int kLayersPerStage = 3;
 
@@ -53,27 +48,24 @@ struct StageResult {
   rt::ClusterStepStats stats;
 };
 
-StageResult measure(const sweep::SweepPoint& point) {
+/// Runs one micro-batch size on \p base, the cluster every point shares;
+/// the point sets its own model and micro-batch count.
+StageResult measure(const rt::ClusterConfig& base,
+                    const sweep::SweepPoint& point) {
   const std::int64_t mb_size = point.i64("micro_batch");
   StageResult result;
   result.micro_batches = kMiniBatchSamples / static_cast<int>(mb_size);
 
-  rt::ClusterConfig config;
-  config.use_replay = g_use_replay;
-  config.model =
-      m::bert_config(8192, kLayersPerStage * g_pipeline_stages, mb_size);
-  config.parallel.tensor_parallel = g_tensor_parallel;
-  config.parallel.pipeline_parallel = g_pipeline_stages;
-  config.strategy = rt::Strategy::ssdtrain;
+  const int stages = base.parallel.pipeline_parallel;
+  rt::ClusterConfig config = base;
+  config.model = m::bert_config(8192, kLayersPerStage * stages, mb_size);
   config.micro_batches = result.micro_batches;
-  config.schedule = sched::PipelineKind::one_f_one_b;
   rt::ClusterSession session(std::move(config));
 
   // Step 1 traces and records every stage's program; step 2 is the
   // replayed steady state the numbers come from.
   result.stats = session.run_steps(2).back();
-  result.bubble =
-      sched::ideal_bubble_fraction(result.micro_batches, g_pipeline_stages);
+  result.bubble = sched::ideal_bubble_fraction(result.micro_batches, stages);
   return result;
 }
 
@@ -81,24 +73,27 @@ StageResult measure(const sweep::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
-  if (options.pipeline_parallel > 0) {
-    g_pipeline_stages = options.pipeline_parallel;
-  }
-  if (options.tensor_parallel > 0) {
-    g_tensor_parallel = options.tensor_parallel;
-  }
+  rt::ClusterConfig base;  // PP4 TP2 unless the session flags say otherwise
+  base.parallel.tensor_parallel = 2;
+  base.parallel.pipeline_parallel = 4;
+  base.strategy = rt::Strategy::ssdtrain;
+  base.schedule = sched::PipelineKind::one_f_one_b;
+  options.apply(base);
 
   std::cout << "1F1B pipeline study: BERT H8192, " << kLayersPerStage
-            << " layers per stage, " << g_pipeline_stages << " stages, "
-            << kMiniBatchSamples << "-sample mini-batch per rank\n\n";
+            << " layers per stage, " << base.parallel.pipeline_parallel
+            << " stages, " << kMiniBatchSamples
+            << "-sample mini-batch per rank\n\n";
 
   sweep::SweepSpec spec;
   spec.axis("micro_batch", std::vector<std::int64_t>{1, 2, 4, 8});
 
   sweep::SweepRunner runner(options.workers);
   const auto points = sweep::select_points(spec, options);
-  const auto outcomes = runner.map(points, measure, options.map_options());
+  const auto outcomes = runner.map(
+      points,
+      [&base](const sweep::SweepPoint& point) { return measure(base, point); },
+      options.map_options());
 
   u::AsciiTable table({"micro-batch size", "micro-batches", "ideal bubble",
                        "measured bubble", "pipeline time",

@@ -11,6 +11,7 @@
 //   arch      bert | gpt | t5 | gpt-moe | gpt-gqa   (default bert)
 //   --workers sweep worker threads                  (default: all cores)
 //   --csv     dump the curve as CSV
+// and every session flag of sweep/cli.hpp (--tp, --faults, --ckpt-*, ...).
 
 #include <cstdint>
 #include <cstdlib>
@@ -38,9 +39,6 @@ namespace u = ssdtrain::util;
 
 namespace {
 
-// --no-replay forces the legacy trace-every-step path (A/B switch).
-bool g_use_replay = true;
-
 const std::vector<rt::Strategy> kStrategies = {rt::Strategy::keep_in_gpu,
                                                rt::Strategy::recompute_full,
                                                rt::Strategy::ssdtrain};
@@ -66,7 +64,6 @@ struct RokPoint {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
-  g_use_replay = !options.no_replay;
   const auto& args = options.positional;
   const std::int64_t hidden = !args.empty() ? std::atoll(args[0].c_str())
                                             : 12288;
@@ -97,12 +94,12 @@ int main(int argc, char** argv) {
 
   sweep::SweepRunner runner(options.workers);
   const auto outcomes =
-      runner.map(points, [&arch, hidden, layers](const sweep::SweepPoint& p) {
+      runner.map(points, [&](const sweep::SweepPoint& p) {
         rt::SessionConfig config;
-        config.use_replay = g_use_replay;
         config.model = make_model(arch, hidden, layers, p.i64("batch"));
         config.parallel.tensor_parallel = 2;
         config.strategy = rt::strategy_from(p.str("strategy"));
+        options.apply(config);
         RokPoint result;
         try {
           rt::TrainingSession session(std::move(config));

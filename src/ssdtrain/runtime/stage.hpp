@@ -78,8 +78,8 @@ struct TrainingConfig {
   /// through the module tree while recording a StepProgram; every later
   /// step replays the flattened program, bit-identically and much faster.
   /// A cluster records per stage (stage chunk c records on step c, one
-  /// recorder per GPU at a time). Disable (--no-replay in the benches) to
-  /// force the legacy trace path on every step for A/B comparison.
+  /// recorder per GPU at a time). Off, every step traces: the reference
+  /// the replay tests compare against, and bench_step_replay's trace leg.
   bool use_replay = true;
 
   /// Optional shared program cache (requires use_replay; see

@@ -1,12 +1,15 @@
 #include "ssdtrain/sweep/cli.hpp"
 
 #include <algorithm>
-
-#include "ssdtrain/sweep/chaos_exec.hpp"
+#include <array>
 #include <cerrno>
 #include <cstdlib>
 #include <string_view>
 
+#include "ssdtrain/fault/fault.hpp"
+#include "ssdtrain/runtime/program_cache.hpp"
+#include "ssdtrain/runtime/stage.hpp"
+#include "ssdtrain/sweep/chaos_exec.hpp"
 #include "ssdtrain/util/check.hpp"
 
 namespace ssdtrain::sweep {
@@ -32,16 +35,33 @@ void parse_points_list(std::string_view list, CliOptions& options) {
   }
 }
 
-// --pp/--tp/--dp values: a parallelism degree is a small positive integer.
-int parse_degree(std::string_view flag, const char* text) {
+// An integer flag value in [lo, hi].
+int parse_int(std::string_view flag, const char* text, long lo, long hi) {
   char* end = nullptr;
   errno = 0;
   const long n = std::strtol(text, &end, 10);
-  util::expects(end != text && *end == '\0' && errno != ERANGE && n >= 1 &&
-                    n <= 4096,
-                std::string(flag) + " expects an integer in [1, 4096], got '" +
-                    std::string(text) + "'");
+  util::expects(end != text && *end == '\0' && errno != ERANGE && n >= lo &&
+                    n <= hi,
+                std::string(flag) + " expects an integer in [" +
+                    std::to_string(lo) + ", " + std::to_string(hi) +
+                    "], got '" + std::string(text) + "'");
   return static_cast<int>(n);
+}
+
+// A duration flag value in seconds: non-negative, or positive unless
+// \p allow_zero.
+double parse_seconds(std::string_view flag, const char* text,
+                     bool allow_zero) {
+  char* end = nullptr;
+  errno = 0;
+  const double seconds = std::strtod(text, &end);
+  util::expects(end != text && *end == '\0' && errno != ERANGE &&
+                    (allow_zero ? seconds >= 0.0 : seconds > 0.0),
+                std::string(flag) +
+                    (allow_zero ? " expects a non-negative"
+                                : " expects a positive") +
+                    " number of seconds, got '" + std::string(text) + "'");
+  return seconds;
 }
 
 parallel::ZeroStage parse_zero_stage(const char* text) {
@@ -86,25 +106,26 @@ void parse_shard(const char* text, CliOptions& options) {
   options.shard_count = static_cast<int>(count);
 }
 
-}  // namespace
+// The flags that configure the sessions a binary builds.
+constexpr std::array<std::string_view, 10> kSessionFlags = {
+    "--pp", "--tp", "--dp", "--zero", "--faults", "--fault-seed",
+    "--ckpt-interval", "--ckpt-auto", "--mtbf", "--program-cache"};
 
-CliOptions parse_cli(int argc, char** argv) {
+CliOptions parse(int argc, char** argv, bool builds_sessions) {
   CliOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
+    util::expects(builds_sessions ||
+                      std::find(kSessionFlags.begin(), kSessionFlags.end(),
+                                arg) == kSessionFlags.end(),
+                  std::string(arg) +
+                      " configures a session, and this binary builds none");
     if (arg == "--workers") {
       util::expects(i + 1 < argc, "--workers requires a value");
-      const char* text = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      const long n = std::strtol(text, &end, 10);
       // 4096 bounds even absurd machines; anything larger is a typo, not a
       // core count.
-      util::expects(end != text && *end == '\0' && errno != ERANGE &&
-                        n >= 0 && n <= 4096,
-                    "--workers expects an integer in [0, 4096], got '" +
-                        std::string(text) + "'");
-      options.workers = static_cast<std::size_t>(n);
+      options.workers =
+          static_cast<std::size_t>(parse_int(arg, argv[++i], 0, 4096));
     } else if (arg == "--csv") {
       util::expects(i + 1 < argc, "--csv requires a path");
       options.csv_path = argv[++i];
@@ -114,27 +135,16 @@ CliOptions parse_cli(int argc, char** argv) {
       parse_points_list(argv[++i], options);
     } else if (arg == "--point-timeout") {
       util::expects(i + 1 < argc, "--point-timeout requires seconds");
-      const char* text = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      const double seconds = std::strtod(text, &end);
-      util::expects(end != text && *end == '\0' && errno != ERANGE &&
-                        seconds >= 0.0,
-                    "--point-timeout expects a non-negative number of "
-                    "seconds, got '" +
-                        std::string(text) + "'");
-      options.point_timeout = seconds;
-    } else if (arg == "--no-replay") {
-      options.no_replay = true;
+      options.point_timeout = parse_seconds(arg, argv[++i], true);
     } else if (arg == "--pp") {
       util::expects(i + 1 < argc, "--pp requires a degree");
-      options.pipeline_parallel = parse_degree(arg, argv[++i]);
+      options.pipeline_parallel = parse_int(arg, argv[++i], 1, 4096);
     } else if (arg == "--tp") {
       util::expects(i + 1 < argc, "--tp requires a degree");
-      options.tensor_parallel = parse_degree(arg, argv[++i]);
+      options.tensor_parallel = parse_int(arg, argv[++i], 1, 4096);
     } else if (arg == "--dp") {
       util::expects(i + 1 < argc, "--dp requires a degree");
-      options.data_parallel = parse_degree(arg, argv[++i]);
+      options.data_parallel = parse_int(arg, argv[++i], 1, 4096);
     } else if (arg == "--zero") {
       util::expects(i + 1 < argc, "--zero requires none|1|2|3");
       options.zero = parse_zero_stage(argv[++i]);
@@ -156,29 +166,12 @@ CliOptions parse_cli(int argc, char** argv) {
       options.fault_seed = static_cast<std::uint64_t>(n);
     } else if (arg == "--ckpt-interval") {
       util::expects(i + 1 < argc, "--ckpt-interval requires a step count");
-      const char* text = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      const long n = std::strtol(text, &end, 10);
-      util::expects(end != text && *end == '\0' && errno != ERANGE &&
-                        n >= 1 && n <= 1000000,
-                    "--ckpt-interval expects an integer in [1, 1000000], "
-                    "got '" +
-                        std::string(text) + "'");
-      options.ckpt_interval = static_cast<int>(n);
+      options.ckpt_interval = parse_int(arg, argv[++i], 1, 1000000);
     } else if (arg == "--ckpt-auto") {
       options.ckpt_auto = true;
     } else if (arg == "--mtbf") {
       util::expects(i + 1 < argc, "--mtbf requires seconds");
-      const char* text = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      const double seconds = std::strtod(text, &end);
-      util::expects(end != text && *end == '\0' && errno != ERANGE &&
-                        seconds > 0.0,
-                    "--mtbf expects a positive number of seconds, got '" +
-                        std::string(text) + "'");
-      options.mtbf = seconds;
+      options.mtbf = parse_seconds(arg, argv[++i], false);
     } else if (arg == "--shard") {
       util::expects(i + 1 < argc, "--shard requires I/N");
       parse_shard(argv[++i], options);
@@ -187,8 +180,6 @@ CliOptions parse_cli(int argc, char** argv) {
       options.program_cache_dir = argv[++i];
       util::expects(!options.program_cache_dir.empty(),
                     "--program-cache directory is empty");
-    } else if (arg == "--no-program-cache") {
-      options.no_program_cache = true;
     } else if (arg == "--chaos-exec") {
       util::expects(i + 1 < argc, "--chaos-exec requires a spec");
       options.chaos_exec = argv[++i];
@@ -196,26 +187,17 @@ CliOptions parse_cli(int argc, char** argv) {
       (void)ChaosExec::parse(options.chaos_exec);
     } else if (arg == "--retries") {
       util::expects(i + 1 < argc, "--retries requires a count");
-      const char* text = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      const long n = std::strtol(text, &end, 10);
-      util::expects(end != text && *end == '\0' && errno != ERANGE &&
-                        n >= 0 && n <= 100,
-                    "--retries expects an integer in [0, 100], got '" +
-                        std::string(text) + "'");
-      options.retries = static_cast<int>(n);
+      options.retries = parse_int(arg, argv[++i], 0, 100);
     } else if (arg.size() >= 2 && arg.substr(0, 2) == "--") {
       util::expects(false,
                     "unknown flag: " + std::string(arg) +
                         " (supported: --workers N, --csv PATH, "
                         "--points a=1,b=2, --point-timeout S, --retries N, "
-                        "--no-replay, --pp N, --tp N, --dp N, "
+                        "--pp N, --tp N, --dp N, "
                         "--zero none|1|2|3, --faults SPECS, "
                         "--fault-seed N, --ckpt-interval N, --ckpt-auto, "
                         "--mtbf SECONDS, --shard I/N, "
-                        "--program-cache DIR, --no-program-cache, "
-                        "--chaos-exec SPEC)");
+                        "--program-cache DIR, --chaos-exec SPEC)");
     } else {
       options.positional.emplace_back(arg);
     }
@@ -224,6 +206,31 @@ CliOptions parse_cli(int argc, char** argv) {
   // cadences, --ckpt-auto without --mtbf) surface at startup.
   (void)options.checkpoint_policy();
   return options;
+}
+
+}  // namespace
+
+CliOptions parse_cli(int argc, char** argv) {
+  CliOptions options = parse(argc, argv, /*builds_sessions=*/true);
+  options.program_cache_ = std::make_shared<runtime::ProgramCache>(
+      runtime::ProgramCacheConfig{options.program_cache_dir});
+  return options;
+}
+
+CliOptions parse_grid_cli(int argc, char** argv) {
+  return parse(argc, argv, /*builds_sessions=*/false);
+}
+
+void CliOptions::apply(runtime::TrainingConfig& config) const {
+  parallel::ParallelConfig& parallel = config.parallel;
+  if (pipeline_parallel > 0) parallel.pipeline_parallel = pipeline_parallel;
+  if (tensor_parallel > 0) parallel.tensor_parallel = tensor_parallel;
+  if (data_parallel > 0) parallel.data_parallel = data_parallel;
+  if (zero) parallel.zero = *zero;
+  if (faults_enabled()) config.faults.specs = fault::parse_faults(faults);
+  if (fault_seed != 0) config.faults.seed = fault_seed;
+  if (checkpoint_enabled()) config.checkpoint = checkpoint_policy();
+  if (program_cache_) config.program_cache = program_cache_.get();
 }
 
 bool matches_point_filter(const CliOptions& options,

@@ -1,34 +1,63 @@
 #pragma once
 
 /// \file cli.hpp
-/// Shared command-line handling for the sweep-driven bench and example
-/// binaries: every one of them accepts
+/// Shared command-line handling for the bench and example binaries. Every
+/// flag is one of two kinds.
+///
+/// Grid flags shape how a binary runs its sweep. Every binary parses them;
+/// each acts in the binaries named with it:
 ///   --workers N         worker threads for the SweepRunner (default: all
-///                       cores)
-///   --csv PATH          dump the sweep's data series as CSV via
-///                       util::CsvWriter; when PATH already holds rows from
+///                       cores); every binary except bench_program_cache,
+///                       bench_sim_core, bench_step_replay and
+///                       bench_sweep_scaling, which pick their own
+///   --csv PATH          dump the data series as CSV via util::CsvWriter
+///                       (every binary); when PATH already holds rows from
 ///                       an earlier run, benches wired for resume skip the
 ///                       completed points and append only the missing ones
 ///   --points a=1,b=2    run only the grid cells whose coordinates match
 ///                       every listed axis=value pair (repeatable; values
-///                       compare by their axis to_string form)
+///                       compare by their axis to_string form); binaries
+///                       that call select_points: bench_checkpoint,
+///                       bench_cluster_scale, bench_moe_offload,
+///                       bench_resilience, example_pipeline_bubbles
 ///   --point-timeout S   wall-clock budget per sweep point in seconds;
 ///                       over-budget points are recorded as errors instead
 ///                       of hanging the batch (0 = no timeout)
 ///   --retries N         re-run a throwing point up to N extra times
-///   --no-replay         force the legacy trace-every-step execution path
-///                       (step record/replay is on by default; this flag is
-///                       the A/B switch — results are bit-identical)
+///                       (these two: every binary that takes --workers,
+///                       plus bench_sweep_scaling)
+///   --shard I/N         run only this process's 1/N slice of the grid:
+///                       after --points filtering, position j of the
+///                       selection belongs to shard j mod N. Shards are
+///                       independent OS processes; tools/sweep_merge
+///                       reassembles their CSVs into the canonical
+///                       single-process row order, byte-identically; the
+///                       binaries that take --points
+///   --chaos-exec SPEC   self-inflicted chaos for orchestrator testing
+///                       (sweep::ChaosExec grammar: "kill:after=N[,tear=1]"
+///                       or "stall:after=N"): benches that stream their CSV
+///                       rows through sweep::CsvProgress
+///                       (bench_cluster_scale, bench_moe_offload)
+///                       SIGKILL/SIGSTOP themselves after committing N
+///                       rows. Normally injected by sweep_orchestrate's
+///                       seeded --chaos engine (grammar:
+///                       "kind:rate=P[,after=N][,tear=1][,kind:rate=P...]"
+///                       with kinds kill|stall, seeded by --chaos-seed),
+///                       not typed by hand
+///
+/// Session flags reach every session a binary builds, through
+/// CliOptions::apply. All 14 session-building binaries honour all of them
+/// (twelve benches, example_pipeline_bubbles and example_rok_explorer);
+/// bench_fig1_trends, bench_fig5_lifespan, bench_fig8b_upscale and
+/// bench_sim_core build no session and parse with parse_grid_cli, which
+/// rejects them at startup. Unset, each leaves the bench's own default in
+/// place, so golden CSVs reproduce bit-for-bit without the flags:
 ///   --pp N / --tp N / --dp N
-///                       override the pipeline / tensor / data parallelism
-///                       of every session the bench builds (unset = the
-///                       bench's own defaults, so golden CSVs reproduce
-///                       bit-for-bit without the flags)
-///   --zero none|1|2|3   override the ZeRO stage the same way
+///                       pipeline / tensor / data parallelism
+///   --zero none|1|2|3   ZeRO stage
 ///   --faults SPECS      seeded fault injection: a semicolon-separated
-///                       FaultSpec list applied to every session the bench
-///                       builds; unset = no injector, byte-identical output.
-///                       Full grammar (fault::parse_faults):
+///                       FaultSpec list; unset = no injector, byte-identical
+///                       output. Full grammar (fault::parse_faults):
 ///                         kind[:key=value[,key=value...]][;kind...]
 ///                       kinds: ssd-latency (needs latency=SECONDS),
 ///                       ssd-derate / pcie-derate / nvlink-derate /
@@ -54,44 +83,31 @@
 ///                       commits to measure the checkpoint cost C, then
 ///                       the interval is sqrt(2*C*MTBF). Requires --mtbf
 ///   --mtbf SECONDS      mean time between failures assumed by --ckpt-auto
-///   --shard I/N         run only this process's 1/N slice of the grid:
-///                       after --points filtering, position j of the
-///                       selection belongs to shard j mod N. Shards are
-///                       independent OS processes; tools/sweep_merge
-///                       reassembles their CSVs into the canonical
-///                       single-process row order, byte-identically
-///   --program-cache DIR persistent StepProgram store shared across
-///                       processes: sessions consult DIR before tracing and
-///                       publish new recordings there (atomic
-///                       rename-on-write), so sibling shards and later runs
-///                       skip the trace step of any configuration already
-///                       seen
-///   --no-program-cache  disable the in-process program cache the benches
-///                       share across their sweep points by default (the
-///                       A/B switch for cold-trace comparisons; results are
-///                       bit-identical either way)
-///   --chaos-exec SPEC   self-inflicted chaos for orchestrator testing
-///                       (sweep::ChaosExec grammar: "kill:after=N[,tear=1]"
-///                       or "stall:after=N"): benches that stream their CSV
-///                       rows through sweep::CsvProgress SIGKILL/SIGSTOP
-///                       themselves after committing N rows. Normally
-///                       injected by sweep_orchestrate's seeded --chaos
-///                       engine (grammar: "kind:rate=P[,after=N][,tear=1]
-///                       [,kind:rate=P...]" with kinds kill|stall, seeded
-///                       by --chaos-seed), not typed by hand
+///   --program-cache DIR adds a disk tier to the process-wide StepProgram
+///                       cache every session shares: sessions consult DIR
+///                       before tracing and publish new recordings there
+///                       (atomic rename-on-write), so sibling shards and
+///                       later runs skip the trace step of any
+///                       configuration already seen
 /// plus its own positional arguments, which are passed through untouched.
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ssdtrain/ckpt/policy.hpp"
-#include "ssdtrain/fault/fault.hpp"
 #include "ssdtrain/parallel/parallel_config.hpp"
 #include "ssdtrain/sweep/runner.hpp"
 #include "ssdtrain/sweep/spec.hpp"
+
+namespace ssdtrain::runtime {
+struct TrainingConfig;  // runtime/stage.hpp
+class ProgramCache;     // runtime/program_cache.hpp
+}  // namespace ssdtrain::runtime
 
 namespace ssdtrain::sweep {
 
@@ -100,7 +116,6 @@ struct CliOptions {
   std::string csv_path;     ///< empty = no CSV output
   double point_timeout = 0.0;  ///< seconds; 0 = no per-point timeout
   int retries = 0;             ///< extra attempts for throwing points
-  bool no_replay = false;      ///< force the trace path in every session
   /// --points constraints, in order of appearance.
   std::vector<std::pair<std::string, std::string>> point_filter;
   std::vector<std::string> positional;
@@ -120,33 +135,16 @@ struct CliOptions {
   /// --shard I/N slice of the (filtered) grid this process runs.
   int shard_index = 0;
   int shard_count = 1;
-  /// --program-cache directory (empty = in-process tier only) and the
-  /// --no-program-cache kill switch.
+  /// --program-cache directory (empty = in-process tier only).
   std::string program_cache_dir;
-  bool no_program_cache = false;
   /// --chaos-exec spec text ("" = disabled); parsed eagerly at startup.
   std::string chaos_exec;
 
   [[nodiscard]] bool csv_enabled() const { return !csv_path.empty(); }
   [[nodiscard]] bool sharded() const { return shard_count > 1; }
-  /// Benches wire a shared ProgramCache into every session unless the
-  /// cold-trace A/B switch is on.
-  [[nodiscard]] bool program_cache_enabled() const {
-    return !no_program_cache;
-  }
   [[nodiscard]] bool faults_enabled() const { return !faults.empty(); }
   [[nodiscard]] bool checkpoint_enabled() const {
     return ckpt_interval > 0 || ckpt_auto;
-  }
-
-  /// Parsed --faults/--fault-seed as the config sessions take. Parse errors
-  /// in the spec text are contract violations (reported at startup, not
-  /// mid-sweep).
-  [[nodiscard]] fault::FaultConfig fault_config() const {
-    fault::FaultConfig config;
-    config.specs = fault::parse_faults(faults);
-    config.seed = fault_seed;
-    return config;
   }
 
   /// Parsed --ckpt-interval/--ckpt-auto/--mtbf as the policy sessions
@@ -167,24 +165,36 @@ struct CliOptions {
            data_parallel > 0 || zero.has_value();
   }
 
-  /// Overwrites only the axes set on the command line, leaving the bench's
-  /// defaults in place otherwise (the golden-CSV compatibility contract).
-  void apply_parallel(parallel::ParallelConfig& parallel) const {
-    if (pipeline_parallel > 0) parallel.pipeline_parallel = pipeline_parallel;
-    if (tensor_parallel > 0) parallel.tensor_parallel = tensor_parallel;
-    if (data_parallel > 0) parallel.data_parallel = data_parallel;
-    if (zero) parallel.zero = *zero;
-  }
+  /// The one place the session flags become session config. Overwrites
+  /// only the fields whose flags were given — parallelism, the fault specs
+  /// and seed, the checkpoint policy — leaving the bench's defaults in
+  /// place otherwise (the golden-CSV compatibility contract), and hands
+  /// every session the process-wide program cache parse_cli built (a hit
+  /// replays bit-identically to a trace). The options, or a copy, own that
+  /// cache and must outlive the sessions. Bench-specific overrides run
+  /// after it.
+  void apply(runtime::TrainingConfig& config) const;
 
   /// The per-point policy for SweepRunner::map/run.
   [[nodiscard]] MapOptions map_options() const {
     return MapOptions{point_timeout, retries};
   }
+
+ private:
+  friend CliOptions parse_cli(int argc, char** argv);
+
+  /// Null unless parse_cli built it; shared by every copy of the options.
+  std::shared_ptr<runtime::ProgramCache> program_cache_;
 };
 
 /// Parses argv. Unknown "--flag" arguments are contract violations;
-/// anything else lands in `positional` in order.
+/// anything else lands in `positional` in order. Builds the process-wide
+/// program cache that apply() hands to every session.
 CliOptions parse_cli(int argc, char** argv);
+
+/// parse_cli for the binaries that build no session: a session flag is a
+/// contract violation naming it, rather than being parsed and dropped.
+CliOptions parse_grid_cli(int argc, char** argv);
 
 /// True when \p point satisfies every --points constraint (vacuously true
 /// without --points). Constraint keys must name axes of the point.

@@ -306,7 +306,7 @@ TEST(Integration, ReplayedStepsKeepLastModuleAndTrimExtents) {
 }
 
 TEST(Integration, ReplayDisabledSessionMatchesReplayEnabledExactly) {
-  // The ablation switch: --no-replay must be a pure A/B toggle.
+  // The trace path is the reference replay must reproduce bit for bit.
   auto with = base_config(rt::Strategy::ssdtrain);
   auto without = base_config(rt::Strategy::ssdtrain);
   without.use_replay = false;

@@ -16,6 +16,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "ssdtrain/fault/fault.hpp"
+#include "ssdtrain/runtime/cluster_session.hpp"
+#include "ssdtrain/runtime/program_cache.hpp"
+#include "ssdtrain/runtime/session.hpp"
 #include "ssdtrain/sweep/cli.hpp"
 #include "ssdtrain/sweep/resume.hpp"
 #include "ssdtrain/sweep/runner.hpp"
@@ -23,6 +27,8 @@
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/csv.hpp"
 
+namespace f = ssdtrain::fault;
+namespace rt = ssdtrain::runtime;
 namespace sweep = ssdtrain::sweep;
 namespace u = ssdtrain::util;
 
@@ -321,8 +327,9 @@ TEST(SweepCli, ParsesParallelismOverrides) {
                         "--dp",  "8",    "--zero", "2"};
   const auto options = sweep::parse_cli(9, const_cast<char**>(argv));
   ASSERT_TRUE(options.parallel_overridden());
-  ssdtrain::parallel::ParallelConfig parallel;
-  options.apply_parallel(parallel);
+  rt::SessionConfig config;
+  options.apply(config);
+  const ssdtrain::parallel::ParallelConfig& parallel = config.parallel;
   EXPECT_EQ(parallel.pipeline_parallel, 4);
   EXPECT_EQ(parallel.tensor_parallel, 2);
   EXPECT_EQ(parallel.data_parallel, 8);
@@ -332,9 +339,10 @@ TEST(SweepCli, ParsesParallelismOverrides) {
   // compatibility contract).
   const char* partial[] = {"bench", "--dp", "2", "--zero", "stage3"};
   const auto partial_options = sweep::parse_cli(5, const_cast<char**>(partial));
-  ssdtrain::parallel::ParallelConfig defaults;
-  defaults.tensor_parallel = 2;
-  partial_options.apply_parallel(defaults);
+  rt::SessionConfig partial_config;
+  partial_config.parallel.tensor_parallel = 2;
+  partial_options.apply(partial_config);
+  const ssdtrain::parallel::ParallelConfig& defaults = partial_config.parallel;
   EXPECT_EQ(defaults.tensor_parallel, 2);
   EXPECT_EQ(defaults.pipeline_parallel, 1);
   EXPECT_EQ(defaults.data_parallel, 2);
@@ -350,6 +358,142 @@ TEST(SweepCli, ParsesParallelismOverrides) {
   const char* bad_zero[] = {"bench", "--zero", "4"};
   EXPECT_THROW(sweep::parse_cli(3, const_cast<char**>(bad_zero)),
                u::ContractViolation);
+}
+
+// Every session flag lands in the config, for either session engine.
+template <typename Config>
+void expect_every_session_flag_applied() {
+  const char* argv[] = {"bench",         "--pp",           "2",
+                        "--tp",          "2",              "--dp",
+                        "2",             "--zero",         "1",
+                        "--faults",      "io-error:rate=0.1",
+                        "--fault-seed",  "5",              "--ckpt-interval",
+                        "3",             "--program-cache", "progs"};
+  const auto options = sweep::parse_cli(17, const_cast<char**>(argv));
+  Config config;
+  options.apply(config);
+  EXPECT_EQ(config.parallel.pipeline_parallel, 2);
+  EXPECT_EQ(config.parallel.tensor_parallel, 2);
+  EXPECT_EQ(config.parallel.data_parallel, 2);
+  EXPECT_EQ(config.parallel.zero, ssdtrain::parallel::ZeroStage::stage1);
+  ASSERT_EQ(config.faults.specs.size(), 1u);
+  EXPECT_EQ(config.faults.specs[0].kind, f::FaultKind::io_error);
+  EXPECT_DOUBLE_EQ(config.faults.specs[0].rate, 0.1);
+  EXPECT_EQ(config.faults.seed, 5u);
+  EXPECT_EQ(config.checkpoint.every_steps, 3);
+  EXPECT_FALSE(config.checkpoint.auto_interval);
+  ASSERT_NE(config.program_cache, nullptr);
+  EXPECT_EQ(config.program_cache->directory(), "progs");
+
+  // Copies of the options share the one process-wide cache.
+  const sweep::CliOptions copy = options;
+  Config other;
+  copy.apply(other);
+  EXPECT_EQ(other.program_cache, config.program_cache);
+}
+
+TEST(SweepCli, ApplyCarriesEverySessionFlag) {
+  expect_every_session_flag_applied<rt::SessionConfig>();
+  expect_every_session_flag_applied<rt::ClusterConfig>();
+
+  const char* automatic[] = {"bench", "--ckpt-auto", "--mtbf", "30"};
+  const auto options = sweep::parse_cli(4, const_cast<char**>(automatic));
+  rt::ClusterConfig config;
+  options.apply(config);
+  EXPECT_TRUE(config.checkpoint.auto_interval);
+  EXPECT_DOUBLE_EQ(config.checkpoint.mtbf, 30.0);
+  EXPECT_EQ(config.checkpoint.every_steps, 0);
+}
+
+// The golden contract: without flags a bench's own config reaches its
+// sessions unchanged. The one field a bare command line still sets is the
+// in-process program cache, whose hits replay bit-identically to a trace.
+template <typename Config>
+void expect_bare_apply_leaves_config_alone() {
+  Config config;
+  config.parallel.pipeline_parallel = 2;
+  config.parallel.tensor_parallel = 4;
+  config.parallel.data_parallel = 2;
+  config.parallel.zero = ssdtrain::parallel::ZeroStage::stage3;
+  config.strategy = rt::Strategy::keep_in_gpu;
+  config.micro_batches = 3;
+  config.use_replay = false;
+  config.faults.specs = f::parse_faults("ssd-derate:factor=0.5");
+  config.faults.seed = 7;
+  config.checkpoint.every_steps = 4;
+
+  const char* bare[] = {"bench"};
+  const auto options = sweep::parse_cli(1, const_cast<char**>(bare));
+  options.apply(config);  // the cache lives as long as the options
+  EXPECT_EQ(config.parallel.pipeline_parallel, 2);
+  EXPECT_EQ(config.parallel.tensor_parallel, 4);
+  EXPECT_EQ(config.parallel.data_parallel, 2);
+  EXPECT_EQ(config.parallel.zero, ssdtrain::parallel::ZeroStage::stage3);
+  EXPECT_EQ(config.strategy, rt::Strategy::keep_in_gpu);
+  EXPECT_EQ(config.micro_batches, 3);
+  EXPECT_FALSE(config.use_replay);
+  ASSERT_EQ(config.faults.specs.size(), 1u);
+  EXPECT_EQ(config.faults.specs[0].kind, f::FaultKind::ssd_derate);
+  EXPECT_DOUBLE_EQ(config.faults.specs[0].factor, 0.5);
+  EXPECT_EQ(config.faults.seed, 7u);
+  EXPECT_EQ(config.checkpoint.every_steps, 4);
+  EXPECT_FALSE(config.checkpoint.auto_interval);
+  ASSERT_NE(config.program_cache, nullptr);
+  EXPECT_FALSE(config.program_cache->has_directory());
+
+  // Options not built by parse_cli own no cache and leave the field alone.
+  Config untouched;
+  sweep::CliOptions{}.apply(untouched);
+  EXPECT_EQ(untouched.program_cache, nullptr);
+}
+
+TEST(SweepCli, ApplyLeavesUnsetFieldsAlone) {
+  expect_bare_apply_leaves_config_alone<rt::SessionConfig>();
+  expect_bare_apply_leaves_config_alone<rt::ClusterConfig>();
+}
+
+TEST(SweepCli, RemovedAbSwitchesAreUnknownFlags) {
+  const char* no_replay[] = {"bench", "--no-replay"};
+  EXPECT_THROW(sweep::parse_cli(2, const_cast<char**>(no_replay)),
+               u::ContractViolation);
+  const char* no_cache[] = {"bench", "--no-program-cache"};
+  EXPECT_THROW(sweep::parse_cli(2, const_cast<char**>(no_cache)),
+               u::ContractViolation);
+}
+
+TEST(SweepCli, GridCliRejectsEverySessionFlagByName) {
+  const std::vector<std::vector<const char*>> session_flags = {
+      {"--pp", "2"},           {"--tp", "2"},
+      {"--dp", "2"},           {"--zero", "1"},
+      {"--faults", "io-error:rate=0.1"},
+      {"--fault-seed", "0"},   {"--ckpt-interval", "3"},
+      {"--ckpt-auto", "--mtbf", "30"}, {"--mtbf", "30"},
+      {"--program-cache", "progs"}};
+  for (const auto& flag : session_flags) {
+    std::vector<const char*> argv = {"bench"};
+    argv.insert(argv.end(), flag.begin(), flag.end());
+    const int argc = static_cast<int>(argv.size());
+    try {
+      (void)sweep::parse_grid_cli(argc, const_cast<char**>(argv.data()));
+      ADD_FAILURE() << flag[0] << " was accepted";
+    } catch (const u::ContractViolation& error) {
+      EXPECT_NE(std::string(error.what()).find(flag[0]), std::string::npos)
+          << error.what();
+    }
+    // The same command line is fine where sessions are built.
+    EXPECT_NO_THROW(
+        (void)sweep::parse_cli(argc, const_cast<char**>(argv.data())));
+  }
+
+  const char* grid[] = {"bench",  "--workers", "2", "--csv", "out.csv",
+                        "--points", "a=1",     "--shard", "0/2", "smoke"};
+  const auto options = sweep::parse_grid_cli(10, const_cast<char**>(grid));
+  EXPECT_EQ(options.workers, 2u);
+  EXPECT_EQ(options.shard_count, 2);
+  EXPECT_EQ(options.positional, (std::vector<std::string>{"smoke"}));
+  rt::SessionConfig config;
+  options.apply(config);
+  EXPECT_EQ(config.program_cache, nullptr);  // no session, no cache
 }
 
 TEST(SweepCli, PointsFilterSelectsSingleGridCell) {
@@ -611,12 +755,9 @@ TEST(SweepCli, ParsesShardAndProgramCacheFlags) {
   EXPECT_EQ(options.shard_count, 4);
   EXPECT_TRUE(options.sharded());
   EXPECT_EQ(options.program_cache_dir, "/tmp/progs");
-  EXPECT_TRUE(options.program_cache_enabled());
 
-  const char* off[] = {"bench", "--no-program-cache"};
-  const auto disabled = sweep::parse_cli(2, const_cast<char**>(off));
-  EXPECT_FALSE(disabled.program_cache_enabled());
-  EXPECT_FALSE(disabled.sharded());
+  const char* bare[] = {"bench"};
+  EXPECT_FALSE(sweep::parse_cli(1, const_cast<char**>(bare)).sharded());
 
   const char* out_of_range[] = {"bench", "--shard", "2/2"};
   EXPECT_THROW(sweep::parse_cli(3, const_cast<char**>(out_of_range)),
