@@ -72,6 +72,7 @@ rt::StepStats run_variant(const Variant& v) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options);
   g_cli = options;
 
   std::vector<Variant> variants;

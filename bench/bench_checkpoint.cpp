@@ -236,9 +236,10 @@ int main(int argc, char** argv) {
   g_cli = sweep::parse_cli(argc, argv);
   const bool smoke =
       !g_cli.positional.empty() && g_cli.positional[0] == "smoke";
-  if (!g_cli.positional.empty() && g_cli.positional[0] == "verify") {
-    return run_verify();
-  }
+  const bool verify =
+      !g_cli.positional.empty() && g_cli.positional[0] == "verify";
+  sweep::reject_unused_selection(g_cli, /*selects_points=*/!verify);
+  if (verify) return run_verify();
 
   std::vector<std::int64_t> intervals = {2, 4, 8, 16};
   std::vector<double> mtbfs = {2.0, 6.0};

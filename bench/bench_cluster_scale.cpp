@@ -86,6 +86,8 @@ ScalePoint measure(const sweep::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options, /*selects_points=*/true,
+                                 /*streams_rows=*/options.csv_enabled());
   g_cli = options;
   const bool smoke =
       !options.positional.empty() && options.positional[0] == "smoke";

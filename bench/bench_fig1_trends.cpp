@@ -57,6 +57,7 @@ void print_series(const Series& series, const SeriesResult& result) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_grid_cli(argc, argv);
+  sweep::reject_unused_selection(options);
 
   const std::vector<Series> series = {
       {a::TrendSeries::gpu_fp16_throughput, "GPU/TPU FP16 throughput",

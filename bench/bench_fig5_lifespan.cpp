@@ -33,6 +33,7 @@ namespace u = ssdtrain::util;
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_grid_cli(argc, argv);
+  sweep::reject_unused_selection(options);
 
   std::cout << "=== Fig. 5: SSD lifespan / write bandwidth / activation "
                "volume at scale ===\n"

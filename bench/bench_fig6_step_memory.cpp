@@ -66,6 +66,7 @@ rt::StepStats measure(const Point& p) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options);
   g_cli = options;
 
   const std::vector<Case> cases = {

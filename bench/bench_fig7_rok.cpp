@@ -128,6 +128,7 @@ void rok_curve(std::int64_t hidden, const RokResults& results) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options);
   g_cli = options;
 
   std::vector<std::string> strategy_names;

@@ -50,6 +50,7 @@ rt::StepStats measure(const sweep::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options);
   g_cli = options;
 
   const std::vector<std::int64_t> batches = {1, 2, 4, 8, 16};

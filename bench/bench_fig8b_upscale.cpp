@@ -61,6 +61,7 @@ u::BytesPerSecond project(const Config& c) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_grid_cli(argc, argv);
+  sweep::reject_unused_selection(options);
 
   // Point 0 is the 2-GPU evaluation machine (no sequence parallelism).
   const std::vector<Config> configs = {{1, 2, 3, false}, {1, 4, 3, true},

@@ -70,6 +70,8 @@ MoePoint measure(const sweep::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options, /*selects_points=*/true,
+                                 /*streams_rows=*/options.csv_enabled());
   g_cli = options;
 
   sweep::SweepSpec spec;

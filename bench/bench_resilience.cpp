@@ -210,6 +210,7 @@ ResiliencePoint measure(const sweep::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   g_cli = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(g_cli, /*selects_points=*/true);
   const bool smoke =
       !g_cli.positional.empty() && g_cli.positional[0] == "smoke";
 

@@ -211,6 +211,7 @@ std::string format_allocs_per_event(const Result& r) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_grid_cli(argc, argv);
+  sweep::reject_unused_selection(options);
   const bool smoke =
       !options.positional.empty() && options.positional[0] == "smoke";
   // Smoke sizes keep the ASan/TSan legs quick; the full sizes give stable

@@ -162,6 +162,7 @@ std::string format_allocs_per_step(const Result& r) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options);
   g_cli = options;
   const bool smoke =
       !options.positional.empty() && options.positional[0] == "smoke";

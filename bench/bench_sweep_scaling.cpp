@@ -52,6 +52,7 @@ double run_point(const sweep::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options);
   g_cli = options;
 
   sweep::SweepSpec spec;

@@ -66,6 +66,7 @@ Offload measure(const Case& c) {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options);
   g_cli = options;
 
   const std::vector<Case> cases = {{8192, 4}, {12288, 3}, {16384, 2}};

@@ -73,6 +73,7 @@ StageResult measure(const rt::ClusterConfig& base,
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options, /*selects_points=*/true);
   rt::ClusterConfig base;  // PP4 TP2 unless the session flags say otherwise
   base.parallel.tensor_parallel = 2;
   base.parallel.pipeline_parallel = 4;

@@ -64,6 +64,7 @@ struct RokPoint {
 
 int main(int argc, char** argv) {
   const auto options = sweep::parse_cli(argc, argv);
+  sweep::reject_unused_selection(options);
   const auto& args = options.positional;
   const std::int64_t hidden = !args.empty() ? std::atoll(args[0].c_str())
                                             : 12288;

@@ -11,11 +11,21 @@ namespace ssdtrain::core {
 using tensor::Tensor;
 using tensor::TensorId;
 
+namespace {
+/// Entries the table holds before it first regrows. A replayed step sizes
+/// the table from its program; a traced step appends entry by entry, and
+/// this keeps the paper's configurations (tens to a few hundred entries
+/// per step) from reallocating it while the step runs.
+constexpr std::size_t kTableCapacity = 1024;
+}  // namespace
+
 TensorCache::TensorCache(sim::Simulator& sim, Offloader& offloader,
                          TensorCacheConfig config)
     : sim_(sim), offloader_(offloader), config_(config) {
   hooks_.pack = [this](const Tensor& t) { return pack(t); };
   hooks_.unpack = [this](const graph::PackedValue& v) { return unpack(v); };
+  traced_inits_.reserve(kTableCapacity);
+  entries_.reserve(kTableCapacity);
 }
 
 void TensorCache::register_weight(const tensor::Tensor& weight) {
@@ -60,15 +70,15 @@ bool TensorCache::is_weight(const tensor::Tensor& t) const {
 }
 
 void TensorCache::on_step_begin() {
-  for (auto& [mb, rec] : records_) {
-    (void)mb;
-    if (!rec.entries.empty()) {
-      util::log_warning("tensor cache: " +
-                        std::to_string(rec.entries.size()) +
-                        " entries leaked across step boundary");
-    }
+  const std::size_t leaked = tracked_entries();
+  if (leaked > 0) {
+    util::log_warning("tensor cache: " + std::to_string(leaked) +
+                      " entries leaked across step boundary");
   }
   records_.clear();
+  entries_.clear();
+  traced_inits_.clear();
+  inits_ = traced_inits_;
   current_mb_ = 0;
   in_backward_ = false;
 }
@@ -89,12 +99,9 @@ void TensorCache::set_keep_scopes(
 }
 
 std::size_t TensorCache::tracked_entries() const {
-  std::size_t n = 0;
-  for (const auto& [mb, rec] : records_) {
-    (void)mb;
-    n += rec.entries.size();
-  }
-  return n;
+  return static_cast<std::size_t>(std::count_if(
+      entries_.begin(), entries_.end(),
+      [](const Entry& e) { return !e.released; }));
 }
 
 TensorCache::EntryState TensorCache::entry_state(const TensorId& id) const {
@@ -102,7 +109,7 @@ TensorCache::EntryState TensorCache::entry_state(const TensorId& id) const {
   util::expects(rec_it != records_.end(), "no record for micro-batch");
   auto it = rec_it->second.entries.find(id);
   util::expects(it != rec_it->second.entries.end(), "unknown entry");
-  return it->second.state;
+  return entries_[it->second.index].state;
 }
 
 TensorCache::Record& TensorCache::record() { return records_[current_mb_]; }
@@ -123,33 +130,22 @@ bool TensorCache::in_keep_scope() const {
 graph::PackedValue TensorCache::pack(const Tensor& t) {
   ++stats_.packs;
   // Line 2: weights, CPU tensors, and small tensors are registered as-is.
-  if (is_weight(t)) {
-    ++stats_.passthrough_weight;
-    if (recorder_ != nullptr) {
-      recorder_->cache_pack_passthrough(PassKind::weight);
-    }
-    return t;
-  }
-  if (t.is_cpu()) {
-    ++stats_.passthrough_cpu;
-    if (recorder_ != nullptr) recorder_->cache_pack_passthrough(PassKind::cpu);
-    return t;
-  }
-  if (t.numel() < config_.min_offload_elements) {
-    ++stats_.passthrough_small;
-    if (recorder_ != nullptr) {
-      recorder_->cache_pack_passthrough(PassKind::small);
-    }
+  const bool weight = is_weight(t);
+  if (weight || t.is_cpu() || t.numel() < config_.min_offload_elements) {
+    const PassKind kind = weight       ? PassKind::weight
+                          : t.is_cpu() ? PassKind::cpu
+                                       : PassKind::small;
+    count_passthrough(kind);
+    if (recorder_ != nullptr) recorder_->cache_pack_passthrough(kind);
     return t;
   }
 
   const TensorId id = ids_.get_id(t);  // line 3
   Record& rec = record();
-  auto it = rec.entries.find(id);
   const modules::Module* scope =
       scope_stack_.empty() ? nullptr : scope_stack_.back();
 
-  if (it != rec.entries.end()) {
+  if (auto it = rec.entries.find(id); it != rec.entries.end()) {
     // Duplicate registration of the same tensor (e.g. the attention output
     // saved by both the flash core and the projection): extend the scope
     // list, do not issue more I/O (§III-C1).
@@ -159,101 +155,34 @@ graph::PackedValue TensorCache::pack(const Tensor& t) {
     return id;
   }
 
-  // Record the save in the forward scope sequence (prefetch order).
+  const std::uint32_t index = add_entry(t, id);
+  Tracked& tracked = rec.entries[id];
+  tracked.index = index;
   if (scope != nullptr) {
-    Record& r = record();
-    if (r.sequence.empty() || r.sequence.back().scope != scope) {
-      r.positions[scope].push_back(r.sequence.size());
-      r.sequence.push_back(SequenceSlot{scope, {}});
+    tracked.scopes.insert(scope);
+    // Record the save in the forward scope sequence (prefetch order).
+    if (rec.sequence.empty() || rec.sequence.back().scope != scope) {
+      rec.positions[scope].push_back(rec.sequence.size());
+      rec.sequence.push_back(SequenceSlot{scope, {}});
     }
-    r.sequence.back().ids.push_back(id);
+    rec.sequence.back().entries.push_back(index);
   }
-
-  Entry entry;
-  entry.label = t.label();
-  entry.shape = t.shape();
-  entry.dtype = t.dtype();
-  entry.bytes = t.bytes();
-  if (scope != nullptr) entry.scopes.insert(scope);
 
   const bool budget_reached =
       rec.offloaded_bytes + t.bytes() > config_.offload_budget;  // line 5
   if (budget_reached || in_backward_ || in_keep_scope()) {
-    KeepReason reason;
-    if (budget_reached) {
-      ++stats_.kept_budget;
-      reason = KeepReason::budget;
-    } else if (in_backward_) {
-      ++stats_.kept_backward;
-      reason = KeepReason::backward;
-    } else {
-      ++stats_.kept_scope;
-      reason = KeepReason::scope;
-    }
-    stats_.kept_bytes += t.bytes();
-    entry.state = EntryState::kept;  // line 6
-    entry.strong = t;
-    rec.entries.emplace(id, std::move(entry));
-    if (recorder_ != nullptr) recorder_->cache_pack_keep(t, id, reason);
+    const KeepReason reason = budget_reached ? KeepReason::budget
+                              : in_backward_ ? KeepReason::backward
+                                             : KeepReason::scope;
+    keep(index, t, reason);  // line 6
+    if (recorder_ != nullptr) recorder_->cache_pack_keep(t, index, reason);
     return id;
   }
 
   // Line 7: offload. The recorder sees the *attempt*: replay re-attempts
   // and takes whichever branch the offloader's live state dictates.
-  if (recorder_ != nullptr) recorder_->cache_pack_store(t, id);
-  auto store_done = offloader_.store(id, t, t.storage()->ready_event());
-  if (!store_done) {
-    // Offloader refused (e.g. pinned pool exhausted): fall back to keeping.
-    ++stats_.kept_offloader_refused;
-    stats_.kept_bytes += t.bytes();
-    entry.state = EntryState::kept;
-    entry.strong = t;
-    rec.entries.emplace(id, std::move(entry));
-    return id;
-  }
-
-  ++stats_.offload_started;
-  stats_.offloaded_bytes += t.bytes();
-  rec.offloaded_bytes += t.bytes();
-  entry.state = EntryState::offloading;
-  entry.stored = true;
-  entry.strong = t;  // held until the store completes
-  entry.weak = tensor::WeakTensor(t);
-  entry.store_done = *store_done;
-  const int mb = current_mb_;
-  (*store_done)->add_waiter([this, id, mb]() {
-    auto rec_it = records_.find(mb);
-    if (rec_it == records_.end()) return;  // record already retired
-    auto e = rec_it->second.entries.find(id);
-    if (e == rec_it->second.entries.end()) return;  // released mid-store
-    if (e->second.state != EntryState::offloading) return;
-    if (offloader_.store_status(id)) {
-      // Store permanently failed (degradation ladder: keep on GPU). The
-      // strong reference was never dropped, so the tensor is still
-      // resident; reclaim the dead offloader slot now so the same id can
-      // be stored again on a later step, and clear `stored` so
-      // release_entry doesn't release it a second time.
-      ++stats_.kept_store_failed;
-      stats_.kept_bytes += e->second.bytes;
-      e->second.state = EntryState::loaded;
-      e->second.stored = false;
-      offloader_.release(id);
-      return;
-    }
-    if (e->second.forwarded) {
-      // Data forwarding already handed the in-memory reference to
-      // backward; the tensor is both resident and on SSD.
-      e->second.state = EntryState::loaded;
-    } else {
-      // The paper's GC point: once offloading finishes the cache no longer
-      // holds a reference, so Python (here: shared_ptr) reclaims the GPU
-      // memory.
-      e->second.state = EntryState::offloaded;
-      e->second.strong.reset();
-    }
-  });
-
-  rec.entries.emplace(id, std::move(entry));
+  if (recorder_ != nullptr) recorder_->cache_pack_store(t, index);
+  if (store(index, t)) rec.offloaded_bytes += t.bytes();
   return id;  // line 8
 }
 
@@ -267,102 +196,14 @@ Tensor TensorCache::unpack(const graph::PackedValue& value) {
     if (recorder_ != nullptr) recorder_->cache_unpack_passthrough();
     return std::get<Tensor>(value);  // line 10
   }
-  const TensorId id = std::get<TensorId>(value);
-  Record& rec = record();
-  auto it = rec.entries.find(id);
+  const Record& rec = record();
+  auto it = rec.entries.find(std::get<TensorId>(value));
   util::expects(it != rec.entries.end(),
                 "unpack of unknown tensor id (record mismatch?)");
-  Entry& entry = it->second;
-  Tensor result = unpack_entry(id, entry);
-  if (recorder_ != nullptr) recorder_->cache_unpack_entry(id, result);
+  const std::uint32_t index = it->second.index;
+  Tensor result = unpack_entry(index);  // line 11
+  if (recorder_ != nullptr) recorder_->cache_unpack_entry(index, result);
   return result;
-}
-
-Tensor TensorCache::unpack_entry(const TensorId& id, Entry& entry) {
-  switch (entry.state) {
-    case EntryState::kept:
-    case EntryState::loaded:
-      util::check(entry.strong.defined(), "kept entry lost its tensor");
-      return entry.strong;
-
-    case EntryState::offloading: {
-      // Data forwarding (§III-C2): the tensor is still in GPU memory while
-      // the store drains; hand back the in-memory reference instead of
-      // waiting for a round trip. The reference recovered from the weak
-      // reference is stored for use by other scopes.
-      if (config_.forwarding) {
-        ++stats_.forwards;
-        entry.forwarded = true;
-        Tensor strong = entry.weak.lock();
-        util::check(strong.defined(), "in-flight store lost its tensor");
-        entry.strong = strong;
-        return strong;
-      }
-      // Forwarding disabled (ablation): serialise — wait for the store,
-      // then read the data back; consumers gate on the reload completion.
-      static const util::Label kSyncReload("sync-reload");
-      auto reloaded = sim::Completion::create(
-          sim_, util::Label::tagged(kSyncReload, id.stamp, id.shape_key));
-      const int mb = current_mb_;
-      entry.store_done->add_waiter([this, id, mb, reloaded]() {
-        // The consuming scope may already have retired the entry by the
-        // time the store drains (its kernels are gated regardless); in that
-        // case the reload is moot — just unblock the consumers.
-        auto rec_it = records_.find(mb);
-        if (rec_it == records_.end()) {
-          reloaded->fire();
-          return;
-        }
-        auto e = rec_it->second.entries.find(id);
-        if (e == rec_it->second.entries.end()) {
-          reloaded->fire();
-          return;
-        }
-        auto ticket = offloader_.load(
-            id, util::Label::suffixed(e->second.label, ".reload"),
-            e->second.shape, e->second.dtype);
-        e->second.strong = ticket.tensor;  // keep the reloaded copy alive
-        ticket.done->add_waiter([reloaded]() { reloaded->fire(); });
-      });
-      ++stats_.miss_loads;
-      Tensor gated = entry.weak.lock();
-      util::check(gated.defined(), "in-flight store lost its tensor");
-      gated.storage()->set_ready_event(reloaded);
-      entry.strong = gated;
-      return gated;
-    }
-
-    case EntryState::offloaded:
-      // Prefetch miss: start the load now; the consumer kernels wait on the
-      // load completion through the tensor's ready event (line 11,
-      // load_or_wait_load).
-      ++stats_.miss_loads;
-      start_load(id, entry);
-      return entry.strong;
-
-    case EntryState::loading:
-      util::check(entry.strong.defined(), "loading entry lost its tensor");
-      return entry.strong;  // ready event still pending: consumers wait
-  }
-  util::unreachable("corrupt entry state");
-}
-
-void TensorCache::start_load(const TensorId& id, Entry& entry) {
-  auto ticket =
-      offloader_.load(id, util::Label::suffixed(entry.label, ".reload"),
-                      entry.shape, entry.dtype);
-  entry.state = EntryState::loading;
-  entry.strong = ticket.tensor;
-  const int mb = current_mb_;
-  ticket.done->add_waiter([this, id, mb]() {
-    auto rec_it = records_.find(mb);
-    if (rec_it == records_.end()) return;
-    auto e = rec_it->second.entries.find(id);
-    if (e == rec_it->second.entries.end()) return;
-    if (e->second.state == EntryState::loading) {
-      e->second.state = EntryState::loaded;
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -414,28 +255,22 @@ void TensorCache::on_backward_post(modules::Module& m) {
 }
 
 void TensorCache::prefetch_before(std::size_t position) {
-  Record& rec = record();
-  if (recorder_ != nullptr) prefetch_scratch_.clear();
-  // One walk serves both consumers: the recorder gets the whole candidate
-  // window (replay re-applies the released/offloaded checks per candidate,
-  // so the op carries candidates, not the loads the recorded step happened
-  // to take), and the live checks drive the actual loads. Loads emit no
-  // ops, so reporting the window after the walk lands the prefetch op at
-  // the same op-stream position.
+  const Record& rec = record();
+  // The recorder gets the whole candidate window (replay re-applies the
+  // released/offloaded checks per candidate, so the op carries candidates,
+  // not the loads the recorded step happened to take). Loads emit no ops,
+  // so reporting the window after them lands the prefetch op at the same
+  // op-stream position.
+  prefetch_scratch_.clear();
   std::size_t index = position;
   for (int depth = 0; depth < config_.prefetch_lookahead && index > 0;
        ++depth) {
     --index;
-    for (const tensor::TensorId& id : rec.sequence[index].ids) {
-      if (recorder_ != nullptr) prefetch_scratch_.push_back(id);
-      auto it = rec.entries.find(id);
-      if (it == rec.entries.end()) continue;
-      if (it->second.state == EntryState::offloaded) {
-        ++stats_.prefetch_loads;
-        start_load(id, it->second);
-      }
-    }
+    const auto& entries = rec.sequence[index].entries;
+    prefetch_scratch_.insert(prefetch_scratch_.end(), entries.begin(),
+                             entries.end());
   }
+  prefetch(prefetch_scratch_);
   if (recorder_ != nullptr && !prefetch_scratch_.empty()) {
     recorder_->cache_prefetch(prefetch_scratch_);
   }
@@ -444,59 +279,95 @@ void TensorCache::prefetch_before(std::size_t position) {
 void TensorCache::retire_scope(const modules::Module& m) {
   Record& rec = record();
   for (auto it = rec.entries.begin(); it != rec.entries.end();) {
-    Entry& entry = it->second;
-    entry.scopes.erase(&m);
-    if (entry.scopes.empty()) {
-      const TensorId id = it->first;
+    it->second.scopes.erase(&m);
+    if (!it->second.scopes.empty()) {
       ++it;
-      auto node = rec.entries.extract(id);
-      release_entry(id, node.mapped());
-    } else {
-      ++it;
+      continue;
     }
+    const std::uint32_t index = it->second.index;
+    it = rec.entries.erase(it);
+    if (recorder_ != nullptr) recorder_->cache_release(index);
+    release(index);
   }
-}
-
-void TensorCache::release_entry(const TensorId& id, Entry& entry) {
-  if (recorder_ != nullptr) recorder_->cache_release(id);
-  ++stats_.releases;
-  if (entry.state == EntryState::offloading) {
-    ++stats_.wasted_stores;
-  }
-  if (entry.stored) {
-    offloader_.release(id);  // deferred internally if a store is in flight
-  }
-  entry.strong.reset();  // last cache reference: GPU memory reclaimable
 }
 
 // ---------------------------------------------------------------------------
-// replay fast path — dense slot-indexed entries resolved at record time.
-// Every method mirrors one branch of pack/unpack/prefetch/release above,
-// byte for byte on the stats and the offloader/simulator interactions; the
-// only difference is how the entry is found (an index instead of the
-// TensorId-keyed map) and that closures carry (this, index) instead of
-// (this, id, micro-batch).
+// replay — the recorded decisions, applied by entry index
 // ---------------------------------------------------------------------------
 
 void TensorCache::replay_begin(std::span<const ReplayEntryInit> inits) {
-  // The step-begin semantics (leak diagnostics, record reset) are shared
-  // with the trace path by construction, then the dense entry array arms.
   on_step_begin();
-
-  const std::size_t live = replay_live_entries();
-  if (live > 0) {
-    util::log_warning("tensor cache: " + std::to_string(live) +
-                      " replay entries leaked across step boundary");
-  }
-  replay_inits_ = inits;
-  if (replay_entries_.size() != inits.size()) {
-    replay_entries_.resize(inits.size());
-  }
-  for (auto& e : replay_entries_) e = ReplayEntry{};
+  inits_ = inits;
+  entries_.resize(inits.size());
 }
 
 void TensorCache::replay_pack_passthrough(PassKind kind) {
   ++stats_.packs;
+  count_passthrough(kind);
+}
+
+void TensorCache::replay_pack_dedup() {
+  ++stats_.packs;
+  ++stats_.dedup_hits;
+}
+
+void TensorCache::replay_pack_keep(std::uint32_t index, const Tensor& t,
+                                   KeepReason reason) {
+  ++stats_.packs;
+  keep(index, t, reason);
+}
+
+void TensorCache::replay_pack_store(std::uint32_t index, const Tensor& t) {
+  ++stats_.packs;
+  store(index, t);
+}
+
+void TensorCache::replay_unpack_passthrough() { ++stats_.unpacks; }
+
+Tensor TensorCache::replay_unpack(std::uint32_t index) {
+  ++stats_.unpacks;
+  return unpack_entry(index);
+}
+
+void TensorCache::replay_prefetch(std::span<const std::uint32_t> candidates) {
+  prefetch(candidates);
+}
+
+void TensorCache::replay_release(std::uint32_t index) { release(index); }
+
+TensorCache::EntryState TensorCache::replay_entry_state(
+    std::uint32_t index) const {
+  util::expects(index < entries_.size(), "cache entry out of range");
+  return entries_[index].state;
+}
+
+// ---------------------------------------------------------------------------
+// the entry state machine
+// ---------------------------------------------------------------------------
+
+std::uint32_t TensorCache::add_entry(const Tensor& t, const TensorId& id) {
+  const auto index = static_cast<std::uint32_t>(entries_.size());
+  traced_inits_.push_back(
+      ReplayEntryInit{id, t.label(), t.shape(), t.dtype(), t.bytes()});
+  inits_ = traced_inits_;
+  entries_.emplace_back();
+  if (recorder_ != nullptr) recorder_->cache_new_entry(index, inits_[index]);
+  return index;
+}
+
+TensorCache::Entry* TensorCache::live_entry(std::uint32_t index) {
+  if (index >= entries_.size() || entries_[index].released) return nullptr;
+  return &entries_[index];
+}
+
+TensorCache::Entry& TensorCache::arm(std::uint32_t index) {
+  Entry& e = entries_[index];
+  util::expects(e.released, "cache entry packed twice");
+  e.released = false;
+  return e;
+}
+
+void TensorCache::count_passthrough(PassKind kind) {
   switch (kind) {
     case PassKind::weight:
       ++stats_.passthrough_weight;
@@ -510,14 +381,8 @@ void TensorCache::replay_pack_passthrough(PassKind kind) {
   }
 }
 
-void TensorCache::replay_pack_dedup() {
-  ++stats_.packs;
-  ++stats_.dedup_hits;
-}
-
-void TensorCache::replay_pack_keep(std::uint32_t index, const Tensor& t,
-                                   KeepReason reason) {
-  ++stats_.packs;
+void TensorCache::keep(std::uint32_t index, const Tensor& t,
+                       KeepReason reason) {
   switch (reason) {
     case KeepReason::budget:
       ++stats_.kept_budget;
@@ -529,23 +394,15 @@ void TensorCache::replay_pack_keep(std::uint32_t index, const Tensor& t,
       ++stats_.kept_scope;
       break;
   }
-  stats_.kept_bytes += replay_inits_[index].bytes;
-  ReplayEntry& e = replay_entries_[index];
-  util::expects(e.released, "replay entry packed twice");
-  e = ReplayEntry{};
+  stats_.kept_bytes += inits_[index].bytes;
+  Entry& e = arm(index);
   e.state = EntryState::kept;
   e.strong = t;
-  e.released = false;
 }
 
-void TensorCache::replay_pack_store(std::uint32_t index, const Tensor& t) {
-  ++stats_.packs;
-  const ReplayEntryInit& init = replay_inits_[index];
-  ReplayEntry& e = replay_entries_[index];
-  util::expects(e.released, "replay entry packed twice");
-  e = ReplayEntry{};
-  e.released = false;
-
+bool TensorCache::store(std::uint32_t index, const Tensor& t) {
+  const ReplayEntryInit& init = inits_[index];
+  Entry& e = arm(index);
   auto store_done = offloader_.store(init.id, t, t.storage()->ready_event());
   if (!store_done) {
     // Offloader refused (e.g. pinned pool exhausted): fall back to keeping.
@@ -553,7 +410,7 @@ void TensorCache::replay_pack_store(std::uint32_t index, const Tensor& t) {
     stats_.kept_bytes += init.bytes;
     e.state = EntryState::kept;
     e.strong = t;
-    return;
+    return false;
   }
 
   ++stats_.offload_started;
@@ -563,35 +420,44 @@ void TensorCache::replay_pack_store(std::uint32_t index, const Tensor& t) {
   e.strong = t;  // held until the store completes
   e.weak = tensor::WeakTensor(t);
   e.store_done = *store_done;
-  (*store_done)->add_waiter([this, index]() {
-    ReplayEntry& entry = replay_entries_[index];
-    if (entry.released) return;  // released mid-store
-    if (entry.state != EntryState::offloading) return;
-    if (offloader_.store_status(replay_inits_[index].id)) {
-      // Permanent store failure during replay: keep on GPU and reclaim the
-      // dead slot (replay reuses the same TensorIds every step).
-      ++stats_.kept_store_failed;
-      stats_.kept_bytes += replay_inits_[index].bytes;
-      entry.state = EntryState::loaded;
-      entry.stored = false;
-      offloader_.release(replay_inits_[index].id);
-      return;
-    }
-    if (entry.forwarded) {
-      entry.state = EntryState::loaded;
-    } else {
-      entry.state = EntryState::offloaded;
-      entry.strong.reset();
-    }
-  });
+  (*store_done)->add_waiter([this, index]() { finish_store(index); });
+  return true;
 }
 
-void TensorCache::replay_unpack_passthrough() { ++stats_.unpacks; }
+void TensorCache::finish_store(std::uint32_t index) {
+  Entry* e = live_entry(index);
+  if (e == nullptr) return;  // released mid-store, or its step retired
+  if (e->state != EntryState::offloading) return;
+  const ReplayEntryInit& init = inits_[index];
+  if (offloader_.store_status(init.id)) {
+    // Store permanently failed (degradation ladder: keep on GPU). The
+    // strong reference was never dropped, so the tensor is still resident;
+    // reclaim the dead offloader slot now so the same id can be stored
+    // again on a later step, and clear `stored` so release doesn't release
+    // it a second time.
+    ++stats_.kept_store_failed;
+    stats_.kept_bytes += init.bytes;
+    e->state = EntryState::loaded;
+    e->stored = false;
+    offloader_.release(init.id);
+    return;
+  }
+  if (e->forwarded) {
+    // Data forwarding already handed the in-memory reference to backward;
+    // the tensor is both resident and on SSD.
+    e->state = EntryState::loaded;
+  } else {
+    // The paper's GC point: once offloading finishes the cache no longer
+    // holds a reference, so Python (here: shared_ptr) reclaims the GPU
+    // memory.
+    e->state = EntryState::offloaded;
+    e->strong.reset();
+  }
+}
 
-Tensor TensorCache::replay_unpack(std::uint32_t index) {
-  ++stats_.unpacks;
-  ReplayEntry& e = replay_entries_[index];
-  util::expects(!e.released, "replay unpack of released entry");
+Tensor TensorCache::unpack_entry(std::uint32_t index) {
+  Entry& e = entries_[index];
+  util::expects(!e.released, "unpack of a released cache entry");
   switch (e.state) {
     case EntryState::kept:
     case EntryState::loaded:
@@ -599,6 +465,10 @@ Tensor TensorCache::replay_unpack(std::uint32_t index) {
       return e.strong;
 
     case EntryState::offloading: {
+      // Data forwarding (§III-C2): the tensor is still in GPU memory while
+      // the store drains; hand back the in-memory reference instead of
+      // waiting for a round trip. The reference recovered from the weak
+      // reference is stored for use by other scopes.
       if (config_.forwarding) {
         ++stats_.forwards;
         e.forwarded = true;
@@ -607,24 +477,28 @@ Tensor TensorCache::replay_unpack(std::uint32_t index) {
         e.strong = strong;
         return strong;
       }
+      // Forwarding disabled (ablation): serialise — wait for the store,
+      // then read the data back; consumers gate on the reload completion.
       static const util::Label kSyncReload("sync-reload");
-      const ReplayEntryInit& init = replay_inits_[index];
+      const TensorId& id = inits_[index].id;
       auto reloaded = sim::Completion::create(
-          sim_,
-          util::Label::tagged(kSyncReload, init.id.stamp, init.id.shape_key));
+          sim_, util::Label::tagged(kSyncReload, id.stamp, id.shape_key));
       // The closure captures a CompletionPtr; relocatable() keeps it on the
       // memcpy lane through the waiter chain and event ring.
       e.store_done->add_waiter(util::relocatable([this, index, reloaded]() {
-        ReplayEntry& entry = replay_entries_[index];
-        if (entry.released) {
+        // The consuming scope may already have retired the entry by the
+        // time the store drains (its kernels are gated regardless); in that
+        // case the reload is moot — just unblock the consumers.
+        Entry* entry = live_entry(index);
+        if (entry == nullptr) {
           reloaded->fire();
           return;
         }
-        const ReplayEntryInit& ini = replay_inits_[index];
-        auto ticket =
-            offloader_.load(ini.id, util::Label::suffixed(ini.label, ".reload"),
-                            ini.shape, ini.dtype);
-        entry.strong = ticket.tensor;
+        const ReplayEntryInit& init = inits_[index];
+        auto ticket = offloader_.load(
+            init.id, util::Label::suffixed(init.label, ".reload"), init.shape,
+            init.dtype);
+        entry->strong = ticket.tensor;  // keep the reloaded copy alive
         ticket.done->add_waiter(
             util::relocatable([reloaded]() { reloaded->fire(); }));
       }));
@@ -637,72 +511,59 @@ Tensor TensorCache::replay_unpack(std::uint32_t index) {
     }
 
     case EntryState::offloaded:
+      // Prefetch miss: start the load now; the consumer kernels wait on the
+      // load completion through the tensor's ready event (line 11,
+      // load_or_wait_load).
       ++stats_.miss_loads;
-      replay_start_load(index);
+      start_load(index);
       return e.strong;
 
     case EntryState::loading:
       util::check(e.strong.defined(), "loading entry lost its tensor");
-      return e.strong;
+      return e.strong;  // ready event still pending: consumers wait
   }
-  util::unreachable("corrupt replay entry state");
+  util::unreachable("corrupt entry state");
 }
 
-void TensorCache::replay_start_load(std::uint32_t index) {
-  const ReplayEntryInit& init = replay_inits_[index];
+void TensorCache::start_load(std::uint32_t index) {
+  const ReplayEntryInit& init = inits_[index];
   auto ticket =
       offloader_.load(init.id, util::Label::suffixed(init.label, ".reload"),
                       init.shape, init.dtype);
-  ReplayEntry& e = replay_entries_[index];
+  Entry& e = entries_[index];
   e.state = EntryState::loading;
   e.strong = ticket.tensor;
   ticket.done->add_waiter([this, index]() {
-    ReplayEntry& entry = replay_entries_[index];
-    if (entry.released) return;
-    if (entry.state == EntryState::loading) {
-      entry.state = EntryState::loaded;
+    Entry* entry = live_entry(index);
+    if (entry != nullptr && entry->state == EntryState::loading) {
+      entry->state = EntryState::loaded;
     }
   });
 }
 
-void TensorCache::replay_prefetch(std::span<const std::uint32_t> candidates) {
+void TensorCache::prefetch(std::span<const std::uint32_t> candidates) {
   for (std::uint32_t index : candidates) {
-    ReplayEntry& e = replay_entries_[index];
+    const Entry& e = entries_[index];
     if (e.released) continue;  // scope retired before this prefetch point
     if (e.state == EntryState::offloaded) {
       ++stats_.prefetch_loads;
-      replay_start_load(index);
+      start_load(index);
     }
   }
 }
 
-void TensorCache::replay_release(std::uint32_t index) {
-  ReplayEntry& e = replay_entries_[index];
-  util::expects(!e.released, "replay entry released twice");
+void TensorCache::release(std::uint32_t index) {
+  Entry& e = entries_[index];
+  util::expects(!e.released, "cache entry released twice");
   ++stats_.releases;
   if (e.state == EntryState::offloading) {
     ++stats_.wasted_stores;
   }
   if (e.stored) {
-    offloader_.release(replay_inits_[index].id);
+    // Deferred internally if a store is in flight.
+    offloader_.release(inits_[index].id);
   }
-  e.strong.reset();
-  e.weak = tensor::WeakTensor{};
-  e.released = true;
-}
-
-std::size_t TensorCache::replay_live_entries() const {
-  std::size_t n = 0;
-  for (const auto& e : replay_entries_) {
-    if (!e.released) ++n;
-  }
-  return n;
-}
-
-TensorCache::EntryState TensorCache::replay_entry_state(
-    std::uint32_t index) const {
-  util::expects(index < replay_entries_.size(), "replay entry out of range");
-  return replay_entries_[index].state;
+  e = Entry{};  // last cache reference: GPU memory reclaimable
 }
 
 }  // namespace ssdtrain::core

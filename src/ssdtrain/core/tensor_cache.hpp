@@ -5,22 +5,32 @@
 /// structure. It interposes on the computational graph through the
 /// pack/unpack saved-tensor hook pair (Alg. 1), maintains the module scope
 /// stack through the four module hooks, keeps one record per micro-batch,
-/// and coordinates the offloader:
+/// and coordinates the offloader.
 ///
-///   * pack: weights / CPU tensors / small tensors pass through; tracked
-///     activations are deduplicated by get_id; tensors are kept in GPU
-///     memory once the planner's offload budget is reached, while in
-///     backward propagation (recompute interop), or inside designated keep
-///     scopes (the last module before backward); everything else starts an
-///     asynchronous store and is registered by identifier.
-///   * unpack: returns kept/loaded tensors, forwards in-flight stores
-///     (data forwarding, §III-C2), and otherwise starts/joins a load whose
-///     completion gates the consuming kernels.
-///   * prefetch: entering a module in backward triggers loads for the
-///     activations of the next module(s) in reverse forward order.
-///   * release: when every module scope that referenced an activation has
-///     finished its backward, the reference is dropped (Python GC analogue)
-///     and the SSD extent is trimmed.
+/// Every tracked activation is one entry of a dense table, and one state
+/// machine drives it: keep; store start and completion (a permanent store
+/// failure keeps the tensor on GPU); unpack (data forwarding, §III-C2, or
+/// with forwarding off a synchronous reload that consumers gate on);
+/// load start and finish; the prefetch candidate check; release, which
+/// counts wasted stores and trims the SSD extent. There are two ways of
+/// finding an entry:
+///
+///   * the trace path — the pack/unpack hooks make Alg. 1's decisions:
+///     weights / CPU tensors / small tensors pass through; tracked
+///     activations are deduplicated by get_id in the micro-batch record's
+///     TensorId → index map; tensors are kept once the planner's offload
+///     budget is reached, while in backward propagation (recompute
+///     interop), or inside designated keep scopes (the last module before
+///     backward); everything else starts an asynchronous store. Entering
+///     a module in backward prefetches the next module(s) in reverse
+///     forward order, and when every scope that referenced an activation
+///     has finished its backward the entry is released (Python GC
+///     analogue).
+///   * the replay path — the replay_* calls address the entry by the index
+///     the recorded step resolved, with the decisions already made.
+///
+/// Both run the same transitions on the same table, so stats, forwarding,
+/// refusal fallback and offloader traffic agree by construction.
 
 #include <cstdint>
 #include <limits>
@@ -96,41 +106,45 @@ class TensorCache {
   /// Why a pack kept the tensor in GPU memory (Alg. 1 lines 5-6).
   enum class KeepReason : std::uint8_t { budget, backward, scope };
 
-  /// Observer for the step recorder: every pack/unpack/prefetch/release
-  /// decision the cache makes during the recorded step is reported here so
-  /// runtime::StepRecorder can compile it into a StepProgram op. Pure
-  /// observation — the trace path behaves identically with or without it.
-  class TraceRecorder {
-   public:
-    virtual ~TraceRecorder() = default;
-    virtual void cache_pack_passthrough(PassKind kind) = 0;
-    virtual void cache_pack_dedup() = 0;
-    virtual void cache_pack_keep(const tensor::Tensor& t,
-                                 const tensor::TensorId& id,
-                                 KeepReason reason) = 0;
-    /// A store *attempt* (replay re-attempts and handles refusal itself).
-    virtual void cache_pack_store(const tensor::Tensor& t,
-                                  const tensor::TensorId& id) = 0;
-    virtual void cache_unpack_passthrough() = 0;
-    virtual void cache_unpack_entry(const tensor::TensorId& id,
-                                    const tensor::Tensor& result) = 0;
-    /// Prefetch window candidates, in trace iteration order (replay
-    /// re-checks each candidate's live state, exactly as the trace does).
-    virtual void cache_prefetch(
-        std::span<const tensor::TensorId> candidates) = 0;
-    virtual void cache_release(const tensor::TensorId& id) = 0;
-  };
-
-  /// Record-time constants of one replay entry: everything the dense
-  /// replay path needs that the trace path recomputed from strings and
-  /// maps (interned labels, byte/shape metadata, the stable TensorId the
-  /// offloader files the extent under).
+  /// Constants of one entry: everything the state machine needs besides
+  /// the live tensor (interned label, byte/shape metadata, the stable
+  /// TensorId the offloader files the extent under). The trace path fills
+  /// the cache's own table as it packs; a recorded step keeps a copy that
+  /// replay_begin points the cache at.
   struct ReplayEntryInit {
     tensor::TensorId id;
     util::Label label;
     tensor::TensorShape shape;
     tensor::DType dtype = tensor::DType::fp16;
     util::Bytes bytes = 0;
+  };
+
+  /// Observer for the step recorder: every pack/unpack/prefetch/release
+  /// decision the cache makes during the recorded step is reported here,
+  /// with the entry's table index, so runtime::StepRecorder can compile it
+  /// into a StepProgram op. Pure observation — the trace path behaves
+  /// identically with or without it.
+  class TraceRecorder {
+   public:
+    virtual ~TraceRecorder() = default;
+    virtual void cache_pack_passthrough(PassKind kind) = 0;
+    virtual void cache_pack_dedup() = 0;
+    /// A new entry at table index \p entry (indices count up from 0 each
+    /// step), reported before the keep or store that arms it.
+    virtual void cache_new_entry(std::uint32_t entry,
+                                 const ReplayEntryInit& init) = 0;
+    virtual void cache_pack_keep(const tensor::Tensor& t, std::uint32_t entry,
+                                 KeepReason reason) = 0;
+    /// A store *attempt* (replay re-attempts and handles refusal itself).
+    virtual void cache_pack_store(const tensor::Tensor& t,
+                                  std::uint32_t entry) = 0;
+    virtual void cache_unpack_passthrough() = 0;
+    virtual void cache_unpack_entry(std::uint32_t entry,
+                                    const tensor::Tensor& result) = 0;
+    /// Prefetch window candidates, in trace iteration order (replay
+    /// re-checks each candidate's live state, exactly as the trace does).
+    virtual void cache_prefetch(std::span<const std::uint32_t> candidates) = 0;
+    virtual void cache_release(std::uint32_t entry) = 0;
   };
 
   TensorCache(sim::Simulator& sim, Offloader& offloader,
@@ -166,11 +180,9 @@ class TensorCache {
   /// while runtime::Executor records a step.
   void set_trace_recorder(TraceRecorder* recorder) { recorder_ = recorder; }
 
-  /// The dense slot-indexed fast path resolved at record time (the
-  /// TensorId-keyed maps stay on the trace path): replayed steps address
-  /// entries by index into \p inits, which must outlive the replay (the
-  /// StepProgram owns it). State transitions, stats, forwarding, refusal
-  /// fallback, and wasted-store accounting mirror pack/unpack exactly.
+  /// The replay path: the recorded step's decisions, applied to entries by
+  /// index into \p inits, which must outlive the replay (the StepProgram
+  /// owns it). Each call runs the transition the matching hook would.
   void replay_begin(std::span<const ReplayEntryInit> inits);
   void replay_pack_passthrough(PassKind kind);
   void replay_pack_dedup();
@@ -182,9 +194,7 @@ class TensorCache {
   void replay_prefetch(std::span<const std::uint32_t> candidates);
   void replay_release(std::uint32_t index);
 
-  /// Replay entries not yet released (diagnostics/tests).
-  [[nodiscard]] std::size_t replay_live_entries() const;
-  /// Live state of a replay entry (tests).
+  /// Live state of entry \p index of this step's table (tests).
   [[nodiscard]] EntryState replay_entry_state(std::uint32_t index) const;
 
   // -- introspection ---------------------------------------------------------
@@ -192,6 +202,7 @@ class TensorCache {
   [[nodiscard]] bool is_weight(const tensor::Tensor& t) const;
   [[nodiscard]] bool in_backward() const { return in_backward_; }
   [[nodiscard]] int current_micro_batch() const { return current_mb_; }
+  /// Entries packed this step and not yet released.
   [[nodiscard]] std::size_t tracked_entries() const;
   [[nodiscard]] const TensorCacheConfig& config() const { return config_; }
 
@@ -205,41 +216,35 @@ class TensorCache {
   [[nodiscard]] EntryState entry_state(const tensor::TensorId& id) const;
 
  private:
+  /// The live state of one entry; its constants sit at the same index of
+  /// inits_. A released entry is default-constructed, so re-arming it on
+  /// the next step needs no reset.
   struct Entry {
     EntryState state = EntryState::kept;
     tensor::Tensor strong;
     tensor::WeakTensor weak;
     sim::CompletionPtr store_done;
-    util::Label label;
-    tensor::TensorShape shape;
-    tensor::DType dtype = tensor::DType::fp16;
-    util::Bytes bytes = 0;
-    std::set<const modules::Module*> scopes;
     bool forwarded = false;
     bool stored = false;  ///< an offloaded copy exists (or is being written)
+    bool released = true;  ///< not packed yet this step, or released
   };
 
-  /// Dense replay-path entry: addressed by index, no TensorId map lookups.
-  /// The record-time constants live in the program's ReplayEntryInit array;
-  /// only the dynamic state lives here, reset by replay_begin.
-  struct ReplayEntry {
-    EntryState state = EntryState::kept;
-    tensor::Tensor strong;
-    tensor::WeakTensor weak;
-    sim::CompletionPtr store_done;
-    bool forwarded = false;
-    bool stored = false;
-    bool released = true;  ///< default-released so reset() is cheap
+  /// The trace path's handle on a live entry: its table index and the
+  /// module scopes that saved it (Alg. 1 line 4); the entry is released
+  /// once all of them have finished their backward.
+  struct Tracked {
+    std::uint32_t index = 0;
+    std::set<const modules::Module*> scopes;
   };
 
   /// One leaf scope's saves, in forward order — the prefetch unit.
   struct SequenceSlot {
     const modules::Module* scope = nullptr;
-    std::vector<tensor::TensorId> ids;
+    std::vector<std::uint32_t> entries;
   };
 
   struct Record {
-    std::map<tensor::TensorId, Entry> entries;
+    std::map<tensor::TensorId, Tracked> entries;  ///< live entries only
     std::vector<SequenceSlot> sequence;  ///< leaf scopes in forward order
     /// Remaining forward occurrences per scope; backward consumes them in
     /// reverse to locate its position in the sequence.
@@ -249,7 +254,6 @@ class TensorCache {
 
   graph::PackedValue pack(const tensor::Tensor& t);
   tensor::Tensor unpack(const graph::PackedValue& value);
-  tensor::Tensor unpack_entry(const tensor::TensorId& id, Entry& entry);
 
   void on_forward_pre(modules::Module& m);
   void on_forward_post(modules::Module& m);
@@ -257,14 +261,31 @@ class TensorCache {
   void on_backward_post(modules::Module& m);
 
   Record& record();
-  void start_load(const tensor::TensorId& id, Entry& entry);
-  void replay_start_load(std::uint32_t index);
   /// Prefetches the slots preceding sequence position \p position.
   void prefetch_before(std::size_t position);
   /// Removes \p m from every entry's scope set; releases drained entries.
   void retire_scope(const modules::Module& m);
-  void release_entry(const tensor::TensorId& id, Entry& entry);
   [[nodiscard]] bool in_keep_scope() const;
+
+  // -- the entry state machine, shared by both paths ------------------------
+  /// Appends a trace-path entry (constants and unarmed state).
+  std::uint32_t add_entry(const tensor::Tensor& t, const tensor::TensorId& id);
+  /// Entry \p index if packed this step and not released, else null. The
+  /// store, reload and load closures look their entry up here: they may
+  /// fire after it was released or its step retired the table. (Sessions
+  /// drain a step's I/O before the next step packs, so an index never
+  /// names a newer entry by then.)
+  Entry* live_entry(std::uint32_t index);
+  Entry& arm(std::uint32_t index);
+  void count_passthrough(PassKind kind);
+  void keep(std::uint32_t index, const tensor::Tensor& t, KeepReason reason);
+  /// Starts the store; on refusal keeps the tensor and returns false.
+  bool store(std::uint32_t index, const tensor::Tensor& t);
+  void finish_store(std::uint32_t index);
+  tensor::Tensor unpack_entry(std::uint32_t index);
+  void start_load(std::uint32_t index);
+  void prefetch(std::span<const std::uint32_t> candidates);
+  void release(std::uint32_t index);
 
   sim::Simulator& sim_;
   Offloader& offloader_;
@@ -282,9 +303,13 @@ class TensorCache {
   TensorCacheStats stats_;
 
   TraceRecorder* recorder_ = nullptr;
-  std::vector<tensor::TensorId> prefetch_scratch_;  ///< recorder candidates
-  std::span<const ReplayEntryInit> replay_inits_;
-  std::vector<ReplayEntry> replay_entries_;
+  std::vector<std::uint32_t> prefetch_scratch_;
+  /// The entry table: constants (the trace path's own, or the replayed
+  /// program's) and live state, always the same length. inits_ is
+  /// re-pointed after every append, as the vector may move.
+  std::vector<ReplayEntryInit> traced_inits_;
+  std::span<const ReplayEntryInit> inits_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace ssdtrain::core

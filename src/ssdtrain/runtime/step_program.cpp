@@ -79,15 +79,6 @@ void StepRecorder::touch(std::uint32_t slot) {
   slots_[slot].last_use_op = program_.ops.size();
 }
 
-std::uint32_t StepRecorder::entry_of(const TensorId& id) {
-  auto it = entry_of_id_.find(id);
-  if (it == entry_of_id_.end()) {
-    invalidate("cache entry outside the entry table");
-    return 0;
-  }
-  return it->second;
-}
-
 void StepRecorder::invalidate(std::string reason) {
   if (!program_.replayable) return;
   program_.replayable = false;
@@ -219,24 +210,18 @@ void StepRecorder::cache_pack_passthrough(TensorCache::PassKind kind) {
 
 void StepRecorder::cache_pack_dedup() { push(StepProgram::OpKind::pack_dedup); }
 
-std::uint32_t StepRecorder::new_entry(const Tensor& t, const TensorId& id) {
-  const auto [it, inserted] = entry_of_id_.try_emplace(
-      id, static_cast<std::uint32_t>(program_.entries.size()));
-  if (!inserted) {
-    // Legal on the trace path (dedup is per micro-batch record, ids are
-    // per step), but the dense entry table is step-global: fall back to
-    // tracing rather than replaying an aliased entry.
-    invalidate("tensor id packed twice in one step");
-    return it->second;
+void StepRecorder::cache_new_entry(
+    std::uint32_t entry, const TensorCache::ReplayEntryInit& init) {
+  // The program's table must mirror the cache's index for index; a
+  // recording that began mid-step would not.
+  if (entry != program_.entries.size()) {
+    invalidate("cache entry outside the entry table");
   }
-  program_.entries.push_back(core::TensorCache::ReplayEntryInit{
-      id, t.label(), t.shape(), t.dtype(), t.bytes()});
-  return it->second;
+  program_.entries.push_back(init);
 }
 
-void StepRecorder::cache_pack_keep(const Tensor& t, const TensorId& id,
+void StepRecorder::cache_pack_keep(const Tensor& t, std::uint32_t entry,
                                    TensorCache::KeepReason reason) {
-  const std::uint32_t entry = new_entry(t, id);
   const std::uint32_t slot = slot_of(t);
   StepProgram::Op& op = push(StepProgram::OpKind::pack_keep);
   op.a = entry;
@@ -244,8 +229,7 @@ void StepRecorder::cache_pack_keep(const Tensor& t, const TensorId& id,
   op.flags = static_cast<std::uint8_t>(reason);
 }
 
-void StepRecorder::cache_pack_store(const Tensor& t, const TensorId& id) {
-  const std::uint32_t entry = new_entry(t, id);
+void StepRecorder::cache_pack_store(const Tensor& t, std::uint32_t entry) {
   const std::uint32_t slot = slot_of(t);
   StepProgram::Op& op = push(StepProgram::OpKind::pack_store);
   op.a = entry;
@@ -256,9 +240,8 @@ void StepRecorder::cache_unpack_passthrough() {
   push(StepProgram::OpKind::unpack_passthrough);
 }
 
-void StepRecorder::cache_unpack_entry(const TensorId& id,
+void StepRecorder::cache_unpack_entry(std::uint32_t entry,
                                       const Tensor& result) {
-  const std::uint32_t entry = entry_of(id);
   // The result gets a fresh slot: depending on timing the replayed unpack
   // may return the original storage (kept/forwarded) or a freshly loaded
   // tensor, and downstream kernels must gate on whichever it was.
@@ -268,22 +251,21 @@ void StepRecorder::cache_unpack_entry(const TensorId& id,
   op.b = slot;
 }
 
-void StepRecorder::cache_prefetch(std::span<const TensorId> candidates) {
+void StepRecorder::cache_prefetch(std::span<const std::uint32_t> candidates) {
   if (candidates.size() > kMaxOpCount) {
     invalidate("prefetch window exceeds the op count field");
     return;
   }
   const auto aux_begin = static_cast<std::uint32_t>(program_.aux.size());
-  for (const TensorId& id : candidates) {
-    program_.aux.push_back(entry_of(id));
-  }
+  program_.aux.insert(program_.aux.end(), candidates.begin(),
+                      candidates.end());
   StepProgram::Op& op = push(StepProgram::OpKind::prefetch);
   op.a = aux_begin;
   op.count = static_cast<std::uint16_t>(candidates.size());
 }
 
-void StepRecorder::cache_release(const TensorId& id) {
-  push(StepProgram::OpKind::release_entry).a = entry_of(id);
+void StepRecorder::cache_release(std::uint32_t entry) {
+  push(StepProgram::OpKind::release_entry).a = entry;
   ++releases_;
 }
 
@@ -293,9 +275,18 @@ void StepRecorder::finalize() {
   allocator_.set_trace_observer(nullptr);
   observer_installed_ = false;
 
-  // Entries the recorded step never released would collide with next
-  // step's offloader slots under replay (the program reuses the recorded
-  // TensorIds); such a step stays on the trace path.
+  // Replay reuses the recorded TensorIds every step, so each must name one
+  // offloader slot. Dedup is per micro-batch record on the trace path, so
+  // the same tensor can be a new entry in two records: such a step, and a
+  // step whose entries would collide with the next step's offloader slots
+  // because it never released them, stays on the trace path.
+  std::vector<TensorId> ids;
+  ids.reserve(program_.entries.size());
+  for (const auto& entry : program_.entries) ids.push_back(entry.id);
+  std::sort(ids.begin(), ids.end());
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    invalidate("tensor id packed twice in one step");
+  }
   if (releases_ != program_.entries.size()) {
     invalidate("recorded step leaked cache entries");
   }

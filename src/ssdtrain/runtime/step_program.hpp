@@ -101,6 +101,7 @@ struct StepProgram {
   std::vector<std::uint32_t> aux;  ///< dep-slot and prefetch-entry lists
   std::vector<util::Label> labels;
   std::vector<tensor::TensorShape> shapes;
+  /// The cache's entry table of the recorded step; ops address it by index.
   std::vector<core::TensorCache::ReplayEntryInit> entries;
   std::vector<WeightInit> weights;  ///< creation-order executor weights
   std::uint32_t slot_count = 0;
@@ -169,23 +170,23 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   // -- core::TensorCache::TraceRecorder --------------------------------------
   void cache_pack_passthrough(core::TensorCache::PassKind kind) override;
   void cache_pack_dedup() override;
-  void cache_pack_keep(const tensor::Tensor& t, const tensor::TensorId& id,
+  void cache_new_entry(
+      std::uint32_t entry,
+      const core::TensorCache::ReplayEntryInit& init) override;
+  void cache_pack_keep(const tensor::Tensor& t, std::uint32_t entry,
                        core::TensorCache::KeepReason reason) override;
-  void cache_pack_store(const tensor::Tensor& t,
-                        const tensor::TensorId& id) override;
+  void cache_pack_store(const tensor::Tensor& t, std::uint32_t entry) override;
   void cache_unpack_passthrough() override;
-  void cache_unpack_entry(const tensor::TensorId& id,
+  void cache_unpack_entry(std::uint32_t entry,
                           const tensor::Tensor& result) override;
-  void cache_prefetch(std::span<const tensor::TensorId> candidates) override;
-  void cache_release(const tensor::TensorId& id) override;
+  void cache_prefetch(std::span<const std::uint32_t> candidates) override;
+  void cache_release(std::uint32_t entry) override;
 
  private:
   /// Ceiling of Op::count (dependency and prefetch-candidate lists); a
   /// recorded step exceeding it falls back to the trace path rather than
   /// silently truncating.
   static constexpr std::size_t kMaxOpCount = 0xFFFF;
-
-  std::uint32_t new_entry(const tensor::Tensor& t, const tensor::TensorId& id);
 
   struct SlotInfo {
     std::size_t last_use_op = 0;
@@ -197,7 +198,6 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   std::uint32_t new_slot(const tensor::Tensor& t);
   std::uint32_t slot_of(const tensor::Tensor& t);
   void touch(std::uint32_t slot);
-  std::uint32_t entry_of(const tensor::TensorId& id);
   std::uint32_t intern_label(util::Label label);
   std::uint32_t intern_shape(const tensor::TensorShape& shape);
   StepProgram::Op& push(StepProgram::OpKind kind);
@@ -216,7 +216,6 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   std::map<const tensor::Storage*, std::uint32_t> slot_of_storage_;
   /// Device allocation id -> every slot aliasing that storage.
   std::map<std::uint64_t, std::vector<std::uint32_t>> slots_of_allocation_;
-  std::map<tensor::TensorId, std::uint32_t> entry_of_id_;
   std::size_t releases_ = 0;
 };
 

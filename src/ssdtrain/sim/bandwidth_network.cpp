@@ -339,8 +339,14 @@ void BandwidthNetwork::schedule_next_completion() {
     }
   }
   if (std::isfinite(next_dt)) {
+    // A finish closer than half an ulp of now() rounds back onto now(): the
+    // tick would move no bytes and reschedule itself forever. The next
+    // representable instant delivers the remainder.
+    TimePoint at = sim_.now() + next_dt;
+    if (at == sim_.now()) at = std::nextafter(at, unlimited);
+    tick_origin_ = sim_.now();
     const std::uint64_t epoch = epoch_;
-    sim_.schedule_after(next_dt, [this, epoch] { on_tick(epoch); });
+    sim_.schedule_at(at, [this, epoch] { on_tick(epoch); });
   }
 }
 
@@ -367,6 +373,7 @@ void BandwidthNetwork::on_tick(std::uint64_t epoch) {
   // vector is a reused member: steady-state ticks allocate nothing.
   std::vector<std::pair<FlowId, EventFn>>& callbacks = tick_scratch_;
   callbacks.clear();
+  bool completed = false;
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     Flow& flow = slots_[slot];
     if (flow.id == 0 || flow.remaining > kRemainingEpsilon) continue;
@@ -374,7 +381,12 @@ void BandwidthNetwork::on_tick(std::uint64_t epoch) {
       callbacks.emplace_back(flow.id, std::move(flow.on_complete));
     }
     remove_flow(slot);
+    completed = true;
   }
+  // A tick at the instant that scheduled it moved no bytes; unless it
+  // completed a flow, it would reschedule itself there forever.
+  util::check(sim_.now() > tick_origin_ || completed,
+              "bandwidth network tick moved no bytes and completed no flow");
   std::sort(callbacks.begin(), callbacks.end(),
             [](const auto& a, const auto& b) {
               return (a.first >> 32) < (b.first >> 32);

@@ -188,6 +188,7 @@ class BandwidthNetwork {
   bool flush_pending_ = false;
   std::uint64_t next_flow_seq_ = 1;
   TimePoint last_advance_ = 0.0;
+  TimePoint tick_origin_ = 0.0;  ///< when the live tick was scheduled
   std::uint64_t epoch_ = 0;  // invalidates stale scheduled ticks
   std::uint64_t filling_passes_ = 0;
   std::uint64_t flows_refilled_ = 0;

@@ -221,6 +221,22 @@ CliOptions parse_grid_cli(int argc, char** argv) {
   return parse(argc, argv, /*builds_sessions=*/false);
 }
 
+void reject_unused_selection(const CliOptions& options, bool selects_points,
+                             bool streams_rows) {
+  const auto reject = [](bool given, std::string_view flag) {
+    util::expects(!given, std::string(flag) +
+                              " selects grid points, and this binary runs "
+                              "no selectable grid");
+  };
+  if (!selects_points) {
+    reject(options.points_enabled(), "--points");
+    reject(options.sharded(), "--shard");
+  }
+  util::expects(streams_rows || options.chaos_exec.empty(),
+                "--chaos-exec acts on CSV rows streamed through --csv, and "
+                "this run streams none");
+}
+
 void CliOptions::apply(runtime::TrainingConfig& config) const {
   parallel::ParallelConfig& parallel = config.parallel;
   if (pipeline_parallel > 0) parallel.pipeline_parallel = pipeline_parallel;

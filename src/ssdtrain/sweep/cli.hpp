@@ -37,13 +37,16 @@
 ///                       (sweep::ChaosExec grammar: "kill:after=N[,tear=1]"
 ///                       or "stall:after=N"): benches that stream their CSV
 ///                       rows through sweep::CsvProgress
-///                       (bench_cluster_scale, bench_moe_offload)
-///                       SIGKILL/SIGSTOP themselves after committing N
-///                       rows. Normally injected by sweep_orchestrate's
+///                       (bench_cluster_scale, bench_moe_offload, with
+///                       --csv) SIGKILL/SIGSTOP themselves after committing
+///                       N rows. Normally injected by sweep_orchestrate's
 ///                       seeded --chaos engine (grammar:
 ///                       "kind:rate=P[,after=N][,tear=1][,kind:rate=P...]"
 ///                       with kinds kill|stall, seeded by --chaos-seed),
 ///                       not typed by hand
+/// A binary (or mode) outside the lists of --points, --shard and
+/// --chaos-exec refuses them at startup through reject_unused_selection
+/// rather than running its whole grid.
 ///
 /// Session flags reach every session a binary builds, through
 /// CliOptions::apply. All 14 session-building binaries honour all of them
@@ -195,6 +198,16 @@ CliOptions parse_cli(int argc, char** argv);
 /// parse_cli for the binaries that build no session: a session flag is a
 /// contract violation naming it, rather than being parsed and dropped.
 CliOptions parse_grid_cli(int argc, char** argv);
+
+/// The selection-flag counterpart of parse_grid_cli's session check, for
+/// binaries that would parse a selection flag and drop it: --points and
+/// --shard act only where select_points runs (\p selects_points), and
+/// --chaos-exec only where CSV rows stream through CsvProgress
+/// (\p streams_rows). Any other selection flag given is a contract
+/// violation naming it.
+void reject_unused_selection(const CliOptions& options,
+                             bool selects_points = false,
+                             bool streams_rows = false);
 
 /// True when \p point satisfies every --points constraint (vacuously true
 /// without --points). Constraint keys must name axes of the point.

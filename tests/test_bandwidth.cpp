@@ -40,6 +40,27 @@ TEST(BandwidthIncremental, FlowIdsStayUniqueAcrossSlotReuse) {
   s.run();
 }
 
+// Past t = 512 s one ulp of simulated time (1.1e-13 s) carries more than a
+// milli-byte at 26.8 GB/s, so a flow can be left with a remainder that
+// needs less than half an ulp. Its finish tick must still land after now():
+// at now() it moves no bytes and repeats forever. 69 of these 400 sizes,
+// 1,000,000,003 B among them, used to hang that way.
+TEST(BandwidthIncremental, FlowFinishingWithinHalfAnUlpCompletes) {
+  for (std::int64_t bytes = 1'000'000'000; bytes < 1'000'000'400; ++bytes) {
+    sim::Simulator s;
+    sim::BandwidthNetwork net(s);
+    const auto ssd = net.add_resource("ssd", u::gbps(26.8));
+    bool done = false;
+    s.schedule_at(512.0, [&] {
+      net.start_flow("f", bytes, {ssd}, [&done] { done = true; });
+    });
+    for (int events = 0; events < 100 && !done && s.step(); ++events) {
+    }
+    EXPECT_TRUE(done) << bytes << " B flow started at t = 512 s";
+    EXPECT_NEAR(s.now(), 512.0 + static_cast<double>(bytes) / 26.8e9, 1e-9);
+  }
+}
+
 TEST(BandwidthIncremental, SameInstantStartsCoalesceIntoOnePass) {
   sim::Simulator s;
   sim::BandwidthNetwork net(s);

@@ -11,6 +11,7 @@
 #include "ssdtrain/core/offloader.hpp"
 #include "ssdtrain/core/tensor_cache.hpp"
 #include "ssdtrain/hw/catalog.hpp"
+#include "ssdtrain/runtime/step_program.hpp"
 #include "ssdtrain/util/units.hpp"
 
 namespace core = ssdtrain::core;
@@ -18,6 +19,7 @@ namespace hw = ssdtrain::hw;
 namespace t = ssdtrain::tensor;
 namespace g = ssdtrain::graph;
 namespace u = ssdtrain::util;
+namespace rt = ssdtrain::runtime;
 
 namespace {
 
@@ -181,6 +183,21 @@ TEST_F(CacheTest, ForwardingDisabledGatesOnReload) {
   EXPECT_EQ(offloader_.stats().loads, 1u);
 }
 
+TEST_F(CacheTest, ForwardingDisabledReloadIsMootOnceRetired) {
+  // The step ends before the store drains: the reload the unpack queued
+  // behind it only unblocks the consumers and reads nothing back.
+  core::TensorCacheConfig cfg;
+  cfg.forwarding = false;
+  auto cache = make_cache(cfg);
+  auto x = activation("x");
+  auto gated = cache.hooks().unpack(cache.hooks().pack(x));
+  ASSERT_TRUE(gated.storage()->ready_event() != nullptr);
+  cache.on_step_begin();
+  node_.simulator().run();
+  EXPECT_TRUE(gated.storage()->ready_event()->done());
+  EXPECT_EQ(offloader_.stats().loads, 0u);
+}
+
 TEST_F(CacheTest, UnpackAfterStoreLoadsFromSsd) {
   auto cache = make_cache();
   auto x = activation("x");
@@ -295,7 +312,7 @@ TEST_F(CacheTest, ReplayStoreEvictsAndReloadsByEntryIndex) {
   EXPECT_EQ(cache.stats().releases, 1u);
   EXPECT_EQ(offloader_.stats().releases, 1u);  // SSD extent trimmed
   EXPECT_EQ(node_.array(0).live_bytes(), 0);
-  EXPECT_EQ(cache.replay_live_entries(), 0u);
+  EXPECT_EQ(cache.tracked_entries(), 0u);
   EXPECT_EQ(alloc.live(hw::MemoryTag::activation), 0);
 }
 
@@ -376,5 +393,80 @@ TEST_F(CacheTest, ReplayKeepStaysResidentAndWastedStoreTrimsDeferred) {
   EXPECT_EQ(node_.array(0).live_bytes(), 0);
 
   cache.replay_release(0);
-  EXPECT_EQ(cache.replay_live_entries(), 0u);
+  EXPECT_EQ(cache.tracked_entries(), 0u);
+}
+
+TEST_F(CacheTest, ReplayForwardingDisabledReloadIsMootOnceReleased) {
+  core::TensorCacheConfig cfg;
+  cfg.forwarding = false;
+  auto cache = make_cache(cfg);
+  auto x = activation("x");
+  const core::TensorCache::ReplayEntryInit init{
+      t::TensorId{1007, x.shape().hash()}, x.label(), x.shape(), x.dtype(),
+      x.bytes()};
+  cache.replay_begin(std::span(&init, 1));
+  cache.replay_pack_store(0, x);
+  auto gated = cache.replay_unpack(0);
+  ASSERT_TRUE(gated.storage()->ready_event() != nullptr);
+  cache.replay_release(0);  // its scope retires before the store drains
+  EXPECT_EQ(cache.stats().wasted_stores, 1u);
+  node_.simulator().run();
+  EXPECT_TRUE(gated.storage()->ready_event()->done());
+  EXPECT_EQ(offloader_.stats().loads, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The step recorder compiles what the cache reports; a step replay could
+// not reproduce stays on the trace path, with the reason.
+// ---------------------------------------------------------------------------
+
+class CacheRecorderTest : public CacheTest {
+ protected:
+  /// Records one step of \p body on a keep-everything cache and returns
+  /// the sealed program.
+  template <typename Body>
+  rt::StepProgram record(Body body) {
+    core::TensorCacheConfig cfg;
+    cfg.offload_budget = 0;  // keep: no offloader slot to collide in
+    auto cache = make_cache(cfg);
+    rt::StepProgram program;
+    rt::StepRecorder recorder(program, *node_.gpu(0).allocator,
+                              /*uses_cache=*/true);
+    cache.set_trace_recorder(&recorder);
+    cache.on_step_begin();
+    body(cache, recorder);
+    recorder.finalize();
+    cache.set_trace_recorder(nullptr);
+    return program;
+  }
+};
+
+TEST_F(CacheRecorderTest, SameTensorPackedInTwoMicroBatchesIsNotReplayable) {
+  auto x = activation("x");
+  const auto program = record([&](core::TensorCache& cache,
+                                  rt::StepRecorder& recorder) {
+    recorder.on_make_activation(x);
+    cache.on_micro_batch(0);
+    cache.hooks().pack(x);
+    cache.on_micro_batch(1);
+    cache.hooks().pack(x);  // a new entry: dedup is per micro-batch record
+    EXPECT_EQ(cache.tracked_entries(), 2u);
+  });
+  EXPECT_FALSE(program.replayable);
+  EXPECT_EQ(program.invalid_reason, "tensor id packed twice in one step");
+}
+
+TEST_F(CacheRecorderTest, StepThatNeverReleasesIsNotReplayable) {
+  auto x = activation("x");
+  auto y = activation("y");
+  const auto program = record([&](core::TensorCache& cache,
+                                  rt::StepRecorder& recorder) {
+    recorder.on_make_activation(x);
+    recorder.on_make_activation(y);
+    cache.hooks().pack(x);
+    cache.hooks().pack(y);
+  });
+  ASSERT_EQ(program.entries.size(), 2u);
+  EXPECT_FALSE(program.replayable);
+  EXPECT_EQ(program.invalid_reason, "recorded step leaked cache entries");
 }

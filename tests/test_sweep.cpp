@@ -496,6 +496,39 @@ TEST(SweepCli, GridCliRejectsEverySessionFlagByName) {
   EXPECT_EQ(config.program_cache, nullptr);  // no session, no cache
 }
 
+TEST(SweepCli, UnusedSelectionFlagsAreRejectedByName) {
+  const auto parse = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "bench");
+    return sweep::parse_cli(static_cast<int>(argv.size()),
+                            const_cast<char**>(argv.data()));
+  };
+  const auto rejection = [](const sweep::CliOptions& options,
+                            bool selects_points, bool streams_rows) {
+    try {
+      sweep::reject_unused_selection(options, selects_points, streams_rows);
+    } catch (const u::ContractViolation& error) {
+      return std::string(error.what());
+    }
+    return std::string();
+  };
+
+  // A binary with no selectable grid names the first dropped flag.
+  const auto both = parse({"--shard", "1/2", "--points", "hidden=1"});
+  EXPECT_NE(rejection(both, false, false).find("--points"), std::string::npos);
+  const auto shard = parse({"--shard", "1/2"});
+  EXPECT_NE(rejection(shard, false, false).find("--shard"), std::string::npos);
+  // select_points binaries take both; one shard of one is no selection.
+  EXPECT_EQ(rejection(both, true, false), "");
+  EXPECT_EQ(rejection(parse({"--shard", "0/1"}), false, false), "");
+
+  const auto chaos = parse({"--csv", "out.csv", "--chaos-exec", "kill:after=1"});
+  EXPECT_NE(rejection(chaos, true, false).find("--chaos-exec"),
+            std::string::npos);
+  EXPECT_EQ(rejection(chaos, true, true), "");
+  // A bare command line passes everywhere.
+  EXPECT_EQ(rejection(parse({"smoke"}), false, false), "");
+}
+
 TEST(SweepCli, PointsFilterSelectsSingleGridCell) {
   sweep::SweepSpec spec;
   spec.axis("hidden", std::vector<std::int64_t>{8192, 12288})
