@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -163,10 +164,11 @@ Result run_stream_chain(std::uint64_t tasks) {
   // compute stream (ExecutorOptions::max_launch_ahead): the queue depth
   // stays ~12, so this measures per-task cost, not deque thrash from an
   // unbounded backlog no real workload produces.
+  const u::Label label("k");
   const auto chain = [&](std::uint64_t n) {
-    sim::CompletionPtr prev = stream.enqueue("k", 1e-6);
+    sim::CompletionPtr prev = stream.enqueue(label, 1e-6);
     for (std::uint64_t i = 1; i < n; ++i) {
-      prev = stream.enqueue_after("k", 1e-6, std::move(prev));
+      prev = stream.enqueue(label, 1e-6, std::span(&prev, 1));
       while (stream.queued() > 12 && s.step()) {
       }
     }

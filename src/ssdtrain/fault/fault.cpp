@@ -74,7 +74,8 @@ double parse_number(std::string_view key, std::string_view value) {
   char* end = nullptr;
   errno = 0;
   const double x = std::strtod(text.c_str(), &end);
-  util::expects(end != text.c_str() && *end == '\0' && errno != ERANGE,
+  util::expects(end != text.c_str() && end == text.c_str() + text.size() &&
+                    errno != ERANGE,
                 "--faults: '" + std::string(key) + "' expects a number, got '" +
                     text + "'");
   return x;
@@ -82,12 +83,12 @@ double parse_number(std::string_view key, std::string_view value) {
 
 int parse_index(std::string_view key, std::string_view value, int lo) {
   const double x = parse_number(key, value);
-  const int n = static_cast<int>(x);
-  util::expects(static_cast<double>(n) == x && n >= lo && n <= 4096,
+  // Range first: casting an out-of-range double (or NaN) to int is UB.
+  util::expects(x >= lo && x <= 4096 && x == static_cast<int>(x),
                 "--faults: '" + std::string(key) +
                     "' expects an integer >= " + std::to_string(lo) +
                     ", got '" + std::string(value) + "'");
-  return n;
+  return static_cast<int>(x);
 }
 
 void apply_key(FaultSpec& spec, std::string_view key, std::string_view value) {

@@ -1,19 +1,17 @@
 #include "ssdtrain/hw/block_allocator.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "ssdtrain/util/check.hpp"
 
 namespace ssdtrain::hw {
 
 BlockAllocator::BlockAllocator(util::Bytes capacity, util::Bytes alignment)
-    : capacity_(capacity),
-      alignment_(alignment),
-      pool_(util::SlabPool::create()),
-      free_by_offset_(RangeMap::allocator_type(pool_)) {
+    : capacity_(capacity), alignment_(alignment) {
   util::expects(capacity > 0, "capacity must be positive");
   util::expects(alignment > 0, "alignment must be positive");
-  free_by_offset_.emplace(0, capacity);
+  free_.push_back({0, capacity});
 }
 
 util::Bytes BlockAllocator::align_up(util::Bytes n) const {
@@ -26,13 +24,14 @@ std::optional<Block> BlockAllocator::allocate(util::Bytes bytes) {
   // First fit in address order: keeps long-lived allocations packed low,
   // mirroring the behaviour of CUDA's caching allocator well enough for
   // fragmentation statistics.
-  for (auto it = free_by_offset_.begin(); it != free_by_offset_.end(); ++it) {
-    if (it->second < need) continue;
-    const std::int64_t offset = it->first;
-    const util::Bytes range = it->second;
-    free_by_offset_.erase(it);
-    if (range > need) {
-      free_by_offset_.emplace(offset + need, range - need);
+  for (auto it = free_.begin(); it != free_.end(); ++it) {
+    if (it->size < need) continue;
+    const std::int64_t offset = it->offset;
+    if (it->size > need) {
+      it->offset += need;  // the remainder keeps its place in the order
+      it->size -= need;
+    } else {
+      free_.erase(it);
     }
     std::uint32_t slot;
     if (!free_slots_.empty()) {
@@ -62,33 +61,28 @@ void BlockAllocator::free(const Block& block) {
   --live_count_;
   used_ -= block.size;
 
-  std::int64_t offset = block.offset;
-  util::Bytes size = block.size;
-
-  // Coalesce with successor.
-  auto next = free_by_offset_.lower_bound(offset);
-  if (next != free_by_offset_.end() && offset + size == next->first) {
-    size += next->second;
-    next = free_by_offset_.erase(next);
+  const auto next = std::lower_bound(
+      free_.begin(), free_.end(), block.offset,
+      [](const FreeRange& r, std::int64_t offset) { return r.offset < offset; });
+  const bool merge_next =
+      next != free_.end() && block.offset + block.size == next->offset;
+  const bool merge_prev =
+      next != free_.begin() &&
+      std::prev(next)->offset + std::prev(next)->size == block.offset;
+  if (merge_prev) {
+    std::prev(next)->size += block.size + (merge_next ? next->size : 0);
+    if (merge_next) free_.erase(next);
+  } else if (merge_next) {
+    next->offset = block.offset;
+    next->size += block.size;
+  } else {
+    free_.insert(next, {block.offset, block.size});
   }
-  // Coalesce with predecessor.
-  if (next != free_by_offset_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second == offset) {
-      offset = prev->first;
-      size += prev->second;
-      free_by_offset_.erase(prev);
-    }
-  }
-  free_by_offset_.emplace(offset, size);
 }
 
 util::Bytes BlockAllocator::largest_free_range() const {
   util::Bytes largest = 0;
-  for (const auto& [offset, size] : free_by_offset_) {
-    (void)offset;
-    largest = std::max(largest, size);
-  }
+  for (const FreeRange& r : free_) largest = std::max(largest, r.size);
   return largest;
 }
 

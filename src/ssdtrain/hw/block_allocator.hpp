@@ -9,12 +9,10 @@
 /// judging whether an activation working set actually fits.
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "ssdtrain/util/pool.hpp"
 #include "ssdtrain/util/units.hpp"
 
 namespace ssdtrain::hw {
@@ -59,19 +57,15 @@ class BlockAllocator {
   [[nodiscard]] double external_fragmentation() const;
 
   [[nodiscard]] std::size_t live_blocks() const { return live_count_; }
-  [[nodiscard]] std::size_t free_ranges() const { return free_by_offset_.size(); }
+  [[nodiscard]] std::size_t free_ranges() const { return free_.size(); }
 
  private:
   util::Bytes align_up(util::Bytes n) const;
 
-  // Map nodes recycle through a per-allocator slab pool: sustained
-  // alloc/free traffic (one activation per operator, every step) reaches
-  // its high-water mark once and then never touches malloc — a
-  // prerequisite for the step-replay path's zero-allocation contract.
-  using RangeMap =
-      std::map<std::int64_t, util::Bytes, std::less<std::int64_t>,
-               util::PoolAllocator<std::pair<const std::int64_t,
-                                             util::Bytes>>>;
+  struct FreeRange {
+    std::int64_t offset = 0;
+    util::Bytes size = 0;
+  };
 
   /// One live block's identity; slots recycle through free_slots_. A
   /// vector instead of a map: free() and double-free detection are O(1)
@@ -87,9 +81,14 @@ class BlockAllocator {
   util::Bytes capacity_;
   util::Bytes alignment_;
   util::Bytes used_ = 0;
-  util::SlabPool::Handle pool_;
-  // offset -> size for free ranges.
-  RangeMap free_by_offset_;
+  /// Free ranges sorted by offset, never adjacent (free() coalesces). A
+  /// flat vector, not a tree: the list stays short under activation
+  /// churn, so first fit is a scan of contiguous memory and splitting,
+  /// merging and inserting move a few entries. Sustained alloc/free
+  /// traffic reaches its capacity high-water mark once and then never
+  /// touches malloc — a prerequisite for the step-replay path's
+  /// zero-allocation contract.
+  std::vector<FreeRange> free_;
   std::vector<LiveSlot> live_slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;

@@ -16,7 +16,8 @@ double parse_number(std::string_view key, std::string_view value) {
   char* end = nullptr;
   errno = 0;
   const double x = std::strtod(text.c_str(), &end);
-  util::expects(end != text.c_str() && *end == '\0' && errno != ERANGE,
+  util::expects(end != text.c_str() && end == text.c_str() + text.size() &&
+                    errno != ERANGE,
                 "--chaos: '" + std::string(key) + "' expects a number, got '" +
                     text + "'");
   return x;
@@ -94,11 +95,12 @@ ChaosSpec parse_chaos(std::string_view text) {
         spec.tear = tear;
       } else if (key == "after") {
         const double after = parse_number(key, value);
-        const int n = static_cast<int>(after);
-        util::expects(static_cast<double>(n) == after && n >= 1 && n <= 4096,
+        // Range first: casting an out-of-range double (or NaN) to int is UB.
+        util::expects(after >= 1 && after <= 4096 &&
+                          after == static_cast<int>(after),
                       "--chaos: 'after' expects an integer >= 1, got '" +
                           value + "'");
-        spec.after = n;
+        spec.after = static_cast<int>(after);
       } else {
         util::expects(false, "--chaos: unknown key '" + key + "' for '" +
                                  clause.kind +

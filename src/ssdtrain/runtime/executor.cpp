@@ -28,7 +28,7 @@ tensor::Tensor Executor::make_activation(std::string label,
   // name).
   auto ready = sim::Completion::create(node_.simulator());
   t.storage()->set_ready_event(ready);
-  pending_ready_.push_back(t);
+  pending_ready_.push_back(std::move(ready));
   if (recorder_ != nullptr) recorder_->on_make_activation(t);
   return t;
 }
@@ -103,15 +103,15 @@ void Executor::kernel(std::string label, util::Flops flops,
                          consumed);
   }
 
-  std::vector<sim::CompletionPtr> deps;
+  replay_deps_scratch_.clear();
   for (const auto& t : consumed) {
     if (!t.defined()) continue;
     const auto& ready = t.storage()->ready_event();
-    if (ready && !ready->done()) deps.push_back(ready);
+    if (ready && !ready->done()) replay_deps_scratch_.push_back(ready);
   }
-  auto done = gpu_ctx.compute_stream->enqueue(std::move(label), duration,
-                                              std::move(deps));
-  bind_pending_ready_events(done);
+  auto done = gpu_ctx.compute_stream->enqueue(util::Label::view(label),
+                                              duration, replay_deps_scratch_);
+  bind_pending_ready(done);
 
   executed_flops_ += flops;
   if (recompute_depth_ == 0) algorithmic_flops_ += flops;
@@ -153,7 +153,7 @@ void Executor::tp_all_reduce(util::Bytes bytes) {
     auto done = launch_comm_flow(kLabel, traffic, latency);
     auto& stream = *node_.gpu(options_.gpu_index).compute_stream;
     stream.wait_for(done);
-    bind_pending_ready_events(done);
+    bind_pending_ready(done);
     pace();
     return;
   }
@@ -164,8 +164,8 @@ void Executor::tp_all_reduce(util::Bytes bytes) {
                          recompute_depth_ == 0, {});
   }
   auto done = node_.gpu(options_.gpu_index)
-                  .compute_stream->enqueue("tp_all_reduce", duration);
-  bind_pending_ready_events(done);
+                  .compute_stream->enqueue(kLabel, duration);
+  bind_pending_ready(done);
   pace();
 }
 
@@ -175,7 +175,7 @@ void Executor::replay_comm(const StepProgram& program,
                                static_cast<util::Bytes>(op.y), op.x);
   auto& stream = *node_.gpu(options_.gpu_index).compute_stream;
   stream.wait_for(done);
-  bind_pending_replay(done);
+  bind_pending_ready(done);
   pace();
 }
 
@@ -219,34 +219,16 @@ util::Bytes Executor::weights_live() const {
       .allocator->live(hw::MemoryTag::weights);
 }
 
-void Executor::bind_pending_ready_events(const sim::CompletionPtr& producer) {
-  if (pending_ready_.empty()) return;
-  std::vector<sim::CompletionPtr> events;
-  events.reserve(pending_ready_.size());
-  for (const auto& t : pending_ready_) {
-    const auto& e = t.storage()->ready_event();
-    if (e && !e->done()) events.push_back(e);
-  }
-  pending_ready_.clear();
-  if (events.empty()) return;
-  producer->add_waiter([events]() {
-    for (const auto& e : events) {
-      if (!e->done()) e->fire();
-    }
-  });
-}
-
-void Executor::bind_pending_replay(const sim::CompletionPtr& producer) {
-  // Same firing order as the trace path's vector waiter, without the
-  // vector: one inline waiter per still-pending event, registered
-  // back-to-back so they run consecutively at producer completion.
-  for (const auto& e : replay_pending_) {
+void Executor::bind_pending_ready(const sim::CompletionPtr& producer) {
+  // One inline waiter per still-pending event, registered back-to-back so
+  // they fire consecutively, in creation order, at producer completion.
+  for (const auto& e : pending_ready_) {
     if (e->done()) continue;
     producer->add_waiter(util::relocatable([e]() {
       if (!e->done()) e->fire();
     }));
   }
-  replay_pending_.clear();
+  pending_ready_.clear();
 }
 
 void Executor::enter_sim_section() {
@@ -305,8 +287,7 @@ void Executor::run_optimizer(modules::Model& model) {
   if (recorder_ != nullptr) {
     recorder_->on_plain_enqueue(kOverhead, util::ms(40));
   }
-  gpu_ctx.compute_stream->enqueue("optimizer::framework_overhead",
-                                  util::ms(40));
+  gpu_ctx.compute_stream->enqueue(kOverhead, util::ms(40));
 }
 
 Executor::StepBaseline Executor::begin_step() {
@@ -539,13 +520,13 @@ void Executor::replay_kernel(const StepProgram& program,
                              const StepProgram::Op& op,
                              std::span<const sim::CompletionPtr> deps) {
   auto& stream = *node_.gpu(options_.gpu_index).compute_stream;
-  if ((op.flags & StepProgram::kFlagBind) != 0 && !replay_pending_.empty()) {
-    auto done = stream.enqueue_labeled(program.labels[op.b], op.x, deps);
-    bind_pending_replay(done);
+  if ((op.flags & StepProgram::kFlagBind) != 0 && !pending_ready_.empty()) {
+    auto done = stream.enqueue(program.labels[op.b], op.x, deps);
+    bind_pending_ready(done);
   } else {
     // Nothing will ever wait on this kernel's completion (the trace path
     // never observed it either) — skip minting one.
-    stream.enqueue_labeled_detached(program.labels[op.b], op.x, deps);
+    stream.enqueue_detached(program.labels[op.b], op.x, deps);
   }
   executed_flops_ += op.y;
   if ((op.flags & StepProgram::kFlagAlgorithmic) != 0) {
@@ -574,7 +555,7 @@ void Executor::replay_ops_tensor(const StepProgram& program,
                                  hw::MemoryTag::activation);
         auto ready = sim::Completion::create(sim);
         t.storage()->set_ready_event(ready);
-        replay_pending_.push_back(std::move(ready));
+        pending_ready_.push_back(std::move(ready));
         replay_slots_[op.a] = std::move(t);
         break;
       }
@@ -610,7 +591,7 @@ void Executor::replay_ops_tensor(const StepProgram& program,
       case StepProgram::OpKind::enqueue_only:
         // The optimizer tail's completion is never observed (finish_step
         // gates on the step_end marker): don't mint one.
-        stream.enqueue_labeled_detached(program.labels[op.b], op.x);
+        stream.enqueue_detached(program.labels[op.b], op.x);
         break;
       case StepProgram::OpKind::marker_pre_optimizer:
         pre_optimizer_marker = stream.record_marker("pre_optimizer");
@@ -677,7 +658,7 @@ void Executor::replay_ops_raw(const StepProgram& program, std::size_t begin,
         slot.ready = sim::Completion::create(sim);
         slot.device = true;
         slot.live = true;
-        replay_pending_.push_back(slot.ready);
+        pending_ready_.push_back(slot.ready);
         break;
       }
       case StepProgram::OpKind::stage_input: {
@@ -709,7 +690,7 @@ void Executor::replay_ops_raw(const StepProgram& program, std::size_t begin,
       case StepProgram::OpKind::enqueue_only:
         // The optimizer tail's completion is never observed (finish_step
         // gates on the step_end marker): don't mint one.
-        stream.enqueue_labeled_detached(program.labels[op.b], op.x);
+        stream.enqueue_detached(program.labels[op.b], op.x);
         break;
       case StepProgram::OpKind::marker_pre_optimizer:
         pre_optimizer_marker = stream.record_marker("pre_optimizer");
@@ -763,7 +744,7 @@ void Executor::end_replay_step() {
     slot.live = false;
     slot.ready.reset();
   }
-  replay_pending_.clear();
+  pending_ready_.clear();
   stage_input_ready_.clear();
 }
 

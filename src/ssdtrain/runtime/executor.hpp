@@ -235,8 +235,10 @@ class Executor final : public modules::ExecutionContext {
   /// Detaches and drops the recorder without sealing its program.
   void stop_recording();
 
-  void bind_pending_ready_events(const sim::CompletionPtr& producer);
-  void bind_pending_replay(const sim::CompletionPtr& producer);
+  /// Fires every pending_ready_ event when \p producer completes (the
+  /// kernel or collective that writes those activations), then clears
+  /// the list. The one binder of the trace and replay paths.
+  void bind_pending_ready(const sim::CompletionPtr& producer);
   void pace();  ///< bounded launch-ahead: advance sim while queue too deep
   void enter_sim_section();
   void exit_sim_section();
@@ -261,7 +263,11 @@ class Executor final : public modules::ExecutionContext {
   std::map<std::string, tensor::Tensor> weights_;
   std::vector<std::string> weight_order_;  ///< keys in creation order
   util::Bytes weight_grad_bytes_ = 0;
-  std::vector<tensor::Tensor> pending_ready_;
+  /// Ready events of activations created since the last producer bind.
+  std::vector<sim::CompletionPtr> pending_ready_;
+  /// Unfired input ready events of the kernel being enqueued (trace and
+  /// replay); a reused member so enqueuing allocates nothing.
+  std::vector<sim::CompletionPtr> replay_deps_scratch_;
   std::deque<sim::CompletionPtr> stage_input_ready_;
   std::map<int, tensor::Tensor> loss_by_micro_batch_;
   int micro_batch_ = 0;
@@ -293,8 +299,6 @@ class Executor final : public modules::ExecutionContext {
   // Replay state, reused across replayed steps (steady-state capacity).
   std::vector<tensor::Tensor> replay_slots_;
   std::vector<RawSlot> replay_raw_slots_;
-  std::vector<sim::CompletionPtr> replay_pending_;
-  std::vector<sim::CompletionPtr> replay_deps_scratch_;
 };
 
 }  // namespace ssdtrain::runtime

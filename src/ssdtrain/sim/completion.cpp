@@ -116,26 +116,25 @@ void Completion::notify_dep_fired() {
   if (--pending_deps_ == 0) fire();
 }
 
-CompletionPtr when_all(Simulator& sim, const std::vector<CompletionPtr>& deps,
-                       util::Label label) {
-  return when_all_span(sim, deps, label);
-}
-
-CompletionPtr when_all_span(Simulator& sim, std::span<const CompletionPtr> deps,
-                            util::Label label) {
-  std::size_t unfired = 0;
-  const CompletionPtr* last_unfired = nullptr;
+UnfiredDeps find_unfired(std::span<const CompletionPtr> deps) {
+  UnfiredDeps unfired;
   for (const auto& d : deps) {
     util::expects(static_cast<bool>(d), "null dependency");
     if (!d->done()) {
-      ++unfired;
-      last_unfired = &d;
+      ++unfired.count;
+      unfired.last = &d;
     }
   }
-  if (unfired == 0) return Completion::already_done(sim, label);
-  if (unfired == 1) return *last_unfired;  // fast path: no combiner at all
+  return unfired;
+}
+
+CompletionPtr when_all(Simulator& sim, std::span<const CompletionPtr> deps,
+                       util::Label label) {
+  const UnfiredDeps unfired = find_unfired(deps);
+  if (unfired.count == 0) return Completion::already_done(sim, label);
+  if (unfired.count == 1) return *unfired.last;  // no combiner at all
   auto all = Completion::create(sim, label);
-  all->pending_deps_ = static_cast<std::uint32_t>(unfired);
+  all->pending_deps_ = static_cast<std::uint32_t>(unfired.count);
   for (const auto& d : deps) {
     if (d->done()) continue;
     Completion* dep = d.get();

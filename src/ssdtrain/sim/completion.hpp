@@ -22,7 +22,6 @@
 #include <memory>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "ssdtrain/sim/simulator.hpp"
 #include "ssdtrain/util/label.hpp"
@@ -107,9 +106,9 @@ class Completion {
 
  private:
   friend class CompletionPtr;
-  friend CompletionPtr when_all_span(Simulator& sim,
-                                     std::span<const CompletionPtr> deps,
-                                     util::Label label);
+  friend CompletionPtr when_all(Simulator& sim,
+                                std::span<const CompletionPtr> deps,
+                                util::Label label);
 
   struct WaiterNode {
     EventFn fn;
@@ -180,20 +179,24 @@ inline void CompletionPtr::reset() noexcept {
   }
 }
 
+/// The unfired entries of \p deps: how many there are, and the last one
+/// (null when none). The single scan behind when_all's fast paths and
+/// Stream's dependency fold. Null entries are a contract violation.
+struct UnfiredDeps {
+  std::size_t count = 0;
+  const CompletionPtr* last = nullptr;
+};
+UnfiredDeps find_unfired(std::span<const CompletionPtr> deps);
+
 /// Returns a completion that fires when all of \p deps have fired. An
 /// empty list yields an already-fired completion. Fast paths avoid any
 /// combiner state: with zero unfired deps the result is a fresh fired
 /// completion, and with exactly one unfired dep that dep itself is
 /// returned (so \p label is dropped and waiters interleave with the dep's
-/// own waiters in plain registration order).
-CompletionPtr when_all(Simulator& sim, const std::vector<CompletionPtr>& deps,
+/// own waiters in plain registration order). Takes a span so callers can
+/// keep their list in a reused scratch buffer.
+CompletionPtr when_all(Simulator& sim, std::span<const CompletionPtr> deps,
                        util::Label label = {});
-
-/// Span form of when_all for callers that keep their dependency list in a
-/// reused scratch buffer (the step-replay kernel path): no vector is
-/// materialised anywhere on the way to the combiner.
-CompletionPtr when_all_span(Simulator& sim, std::span<const CompletionPtr> deps,
-                            util::Label label = {});
 
 }  // namespace ssdtrain::sim
 

@@ -6,127 +6,61 @@
 
 namespace ssdtrain::sim {
 
-void Stream::FinishToken::operator()() const {
-  util::expects(stream_ != nullptr, "finish token without a stream");
-  stream_->finish_task(token_);
-}
-
 Stream::Stream(Simulator& sim, std::string name)
     : sim_(sim), name_(std::move(name)), name_label_(name_) {}
 
-CompletionPtr Stream::combine_deps(std::vector<CompletionPtr> deps) {
-  for (const auto& w : pending_waits_) deps.push_back(w);
-  if (deps.empty()) return nullptr;
-  std::size_t unfired = 0;
-  const CompletionPtr* last_unfired = nullptr;
-  for (const auto& d : deps) {
-    util::expects(static_cast<bool>(d), "null dependency");
-    if (!d->done()) {
-      ++unfired;
-      last_unfired = &d;
-    }
-  }
-  if (unfired == 0) return nullptr;
-  if (unfired == 1) return *last_unfired;
-  return when_all(sim_, deps, name_label_);
-}
-
-CompletionPtr Stream::combine_deps_span(std::span<const CompletionPtr> deps) {
+CompletionPtr Stream::fold_deps(std::span<const CompletionPtr> deps) {
+  // A fired wait constrains nothing: dropping it keeps the list bounded by
+  // the waits still outstanding. Every combiner skips fired deps anyway.
+  std::erase_if(pending_waits_,
+                [](const CompletionPtr& w) { return w->done(); });
   if (!pending_waits_.empty()) {
-    // wait_for() is off the replay hot path; fold through the vector form.
-    std::vector<CompletionPtr> all(deps.begin(), deps.end());
-    return combine_deps(std::move(all));
+    deps_scratch_.assign(deps.begin(), deps.end());
+    deps_scratch_.insert(deps_scratch_.end(), pending_waits_.begin(),
+                         pending_waits_.end());
+    deps = deps_scratch_;
   }
-  std::size_t unfired = 0;
-  const CompletionPtr* last_unfired = nullptr;
-  for (const auto& d : deps) {
-    util::expects(static_cast<bool>(d), "null dependency");
-    if (!d->done()) {
-      ++unfired;
-      last_unfired = &d;
-    }
+  const UnfiredDeps unfired = find_unfired(deps);
+  CompletionPtr folded;
+  if (unfired.count == 1) {
+    folded = *unfired.last;
+  } else if (unfired.count > 1) {
+    folded = when_all(sim_, deps, name_label_);
   }
-  if (unfired == 0) return nullptr;
-  if (unfired == 1) return *last_unfired;
-  return when_all_span(sim_, deps, name_label_);
+  // The scratch holds no references past the fold.
+  deps_scratch_.clear();
+  return folded;
 }
 
-CompletionPtr Stream::enqueue_labeled(util::Label label,
-                                      util::Seconds duration,
-                                      std::span<const CompletionPtr> deps) {
+CompletionPtr Stream::push(util::Label label, util::Seconds duration,
+                           std::span<const CompletionPtr> deps,
+                           bool detached) {
   util::expects(duration >= 0.0, "negative task duration");
   Task task;
   task.duration = duration;
-  task.deps = combine_deps_span(deps);
-  task.done = Completion::create(sim_, name_label_);
+  task.deps = fold_deps(deps);
+  if (!detached) task.done = Completion::create(sim_, name_label_);
   CompletionPtr done = task.done;
-  // The lazy-label contract, one layer up: the interned label renders to
-  // text only when someone is actually watching.
+  // The lazy-label contract, one layer up: the label renders to text only
+  // when someone is actually watching.
   if (observer_) labels_.emplace_back(label.str());
   queue_.push_back(std::move(task));
   pump();
   return done;
 }
 
-void Stream::enqueue_labeled_detached(util::Label label,
-                                      util::Seconds duration,
-                                      std::span<const CompletionPtr> deps) {
-  util::expects(duration >= 0.0, "negative task duration");
-  Task task;
-  task.duration = duration;
-  task.deps = combine_deps_span(deps);
-  if (observer_) labels_.emplace_back(label.str());
-  queue_.push_back(std::move(task));
-  pump();
+CompletionPtr Stream::enqueue(util::Label label, util::Seconds duration,
+                              std::span<const CompletionPtr> deps) {
+  return push(label, duration, deps, false);
 }
 
-CompletionPtr Stream::push_task(Task task, std::string_view label) {
-  task.done = Completion::create(sim_, name_label_);
-  CompletionPtr done = task.done;
-  if (observer_) labels_.emplace_back(label);
-  queue_.push_back(std::move(task));
-  pump();
-  return done;
-}
-
-CompletionPtr Stream::enqueue(std::string_view label, util::Seconds duration,
-                              std::vector<CompletionPtr> deps) {
-  util::expects(duration >= 0.0, "negative task duration");
-  Task task;
-  task.duration = duration;
-  task.deps = combine_deps(std::move(deps));
-  return push_task(std::move(task), label);
-}
-
-CompletionPtr Stream::enqueue_after(std::string_view label,
-                                    util::Seconds duration,
-                                    CompletionPtr dep) {
-  util::expects(duration >= 0.0, "negative task duration");
-  util::expects(static_cast<bool>(dep), "null dependency");
-  Task task;
-  task.duration = duration;
-  if (pending_waits_.empty()) {
-    task.deps = dep->done() ? nullptr : std::move(dep);
-  } else {
-    std::vector<CompletionPtr> deps;
-    deps.reserve(1 + pending_waits_.size());
-    deps.push_back(std::move(dep));
-    task.deps = combine_deps(std::move(deps));
-  }
-  return push_task(std::move(task), label);
-}
-
-CompletionPtr Stream::enqueue_dynamic(std::string_view label, StartFn start,
-                                      std::vector<CompletionPtr> deps) {
-  util::expects(static_cast<bool>(start), "null start function");
-  Task task;
-  task.start = std::move(start);
-  task.deps = combine_deps(std::move(deps));
-  return push_task(std::move(task), label);
+void Stream::enqueue_detached(util::Label label, util::Seconds duration,
+                              std::span<const CompletionPtr> deps) {
+  push(label, duration, deps, true);
 }
 
 CompletionPtr Stream::record_marker(std::string_view label) {
-  return enqueue(label, 0.0);
+  return enqueue(util::Label::view(label), 0.0);
 }
 
 void Stream::wait_for(CompletionPtr dep) {
@@ -161,12 +95,7 @@ void Stream::begin(Task task) {
   ++run_token_;
   current_started_ = sim_.now();
   current_done_ = std::move(task.done);
-  const FinishToken finish{this, run_token_};
-  if (task.start) {
-    task.start(finish);
-  } else {
-    sim_.schedule_after(task.duration, finish);
-  }
+  sim_.schedule_after(task.duration, FinishToken{this, run_token_});
 }
 
 void Stream::finish_task(std::uint64_t token) {

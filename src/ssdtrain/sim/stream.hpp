@@ -4,15 +4,16 @@
 /// In-order execution queue with CUDA-stream semantics: tasks start in
 /// enqueue order, each after the previous task on the stream has finished
 /// and all of its explicit dependencies (completions from other streams)
-/// have fired. The GPU compute queue, DMA engines, and host worker threads
-/// are all modelled as streams.
+/// have fired. Each GPU's compute queue is a Stream; host worker threads
+/// are sim::SimThreadPool and I/O transfers are BandwidthNetwork flows.
 ///
 /// The per-task path is allocation-free at steady state: completions come
-/// from the simulator's slab pool, a single unfired dependency is waited
-/// on directly (no when_all combiner), the finish callback is a 16-byte
-/// FinishToken instead of a capturing closure, and task labels are only
-/// materialised while an observer is attached — an unobserved stream
-/// never copies label text.
+/// from the simulator's slab pool, dependencies arrive as a span and are
+/// folded (with the stream's outstanding wait_for() events) in one reused
+/// scratch, a single unfired dependency is waited on directly (no
+/// when_all combiner), the finish callback is a 16-byte token instead of a
+/// capturing closure, and task labels are only rendered while an observer
+/// is attached — an unobserved stream never copies label text.
 
 #include <cstdint>
 #include <deque>
@@ -39,70 +40,40 @@ class Stream {
     TimePoint end = 0.0;
   };
 
-  /// Completes the stream's currently running task when invoked. Copyable
-  /// and 16 bytes, so storing or scheduling it never allocates; invoking a
-  /// stale token (task already finished) is a contract violation.
-  class FinishToken {
-   public:
-    FinishToken() = default;
-    void operator()() const;
-
-   private:
-    friend class Stream;
-    FinishToken(Stream* stream, std::uint64_t token)
-        : stream_(stream), token_(token) {}
-
-    Stream* stream_ = nullptr;
-    std::uint64_t token_ = 0;
-  };
-
-  /// A dynamic task receives a FinishToken and must eventually invoke it
-  /// (possibly at a later simulated time, e.g. when an I/O flow drains).
-  /// Slim 16-byte inline budget: dynamic starts capture a pointer or two
-  /// (larger closures take one heap hop), which keeps the Task footprint
-  /// — and therefore the queue's memory traffic — small for the
-  /// fixed-duration tasks that dominate.
-  using StartFn = util::UniqueFunction<void(FinishToken), 16>;
-
   using Observer = util::UniqueFunction<void(const TaskRecord&)>;
 
   Stream(Simulator& sim, std::string name);
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
 
-  /// Enqueues a fixed-duration task. Returns its completion.
-  CompletionPtr enqueue(std::string_view label, util::Seconds duration,
-                        std::vector<CompletionPtr> deps = {});
-
-  /// Replay-path form: the label is an interned util::Label (rendered to
-  /// text only while an observer is attached) and the dependencies arrive
-  /// in a caller-owned scratch span — enqueuing allocates nothing.
-  CompletionPtr enqueue_labeled(util::Label label, util::Seconds duration,
-                                std::span<const CompletionPtr> deps = {});
+  /// Enqueues a fixed-duration task that starts after the stream's
+  /// previous task, every completion in \p deps (a caller-owned span,
+  /// typically a reused scratch) and every outstanding wait_for(). The
+  /// label renders to text only while an observer is attached, at
+  /// enqueue, so a util::Label::view over caller text is safe. Returns the
+  /// task's completion.
+  CompletionPtr enqueue(util::Label label, util::Seconds duration,
+                        std::span<const CompletionPtr> deps = {});
 
   /// Fire-and-forget variant: no completion is minted for the task, so
   /// nothing can (or ever will) wait on it. Replay uses this for the many
   /// kernels whose completion the trace path also never observed.
-  void enqueue_labeled_detached(util::Label label, util::Seconds duration,
-                                std::span<const CompletionPtr> deps = {});
-
-  /// Single-dependency overload: the common kernel-chain shape, kept free
-  /// of the deps-vector allocation.
-  CompletionPtr enqueue_after(std::string_view label, util::Seconds duration,
-                              CompletionPtr dep);
-
-  /// Enqueues a task whose duration is decided when it starts (bandwidth
-  /// flows, lock waits). Returns its completion.
-  CompletionPtr enqueue_dynamic(std::string_view label, StartFn start,
-                                std::vector<CompletionPtr> deps = {});
+  void enqueue_detached(util::Label label, util::Seconds duration,
+                        std::span<const CompletionPtr> deps = {});
 
   /// Zero-duration task: fires when all previously enqueued work is done
   /// (the analogue of cudaEventRecord on this stream).
   CompletionPtr record_marker(std::string_view label = "marker");
 
   /// Makes subsequently enqueued tasks wait for \p dep in addition to
-  /// stream order (the analogue of cudaStreamWaitEvent).
+  /// stream order (the analogue of cudaStreamWaitEvent). The wait is
+  /// dropped by the first enqueue after \p dep has fired.
   void wait_for(CompletionPtr dep);
+
+  /// wait_for() events still held: those not yet seen fired by an enqueue.
+  [[nodiscard]] std::size_t pending_waits() const {
+    return pending_waits_.size();
+  }
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -134,19 +105,33 @@ class Stream {
   }
 
  private:
+  /// Completes the stream's running task when invoked. Copyable and 16
+  /// bytes, so scheduling it never allocates; invoking a stale token (task
+  /// already finished) is a contract violation.
+  class FinishToken {
+   public:
+    FinishToken(Stream* stream, std::uint64_t token)
+        : stream_(stream), token_(token) {}
+    void operator()() const { stream_->finish_task(token_); }
+
+   private:
+    Stream* stream_;
+    std::uint64_t token_;
+  };
+
   struct Task {
     CompletionPtr deps;  ///< combined dependency; may be null (ready)
     util::Seconds duration = 0.0;
-    StartFn start;  ///< when set, overrides `duration`
-    CompletionPtr done;
+    CompletionPtr done;  ///< null for detached tasks
   };
 
-  /// Folds pending_waits_ into \p deps and reduces to a single completion:
-  /// nullptr when everything has already fired, the dep itself when one is
-  /// unfired, a when_all combiner otherwise.
-  CompletionPtr combine_deps(std::vector<CompletionPtr> deps);
-  CompletionPtr combine_deps_span(std::span<const CompletionPtr> deps);
-  CompletionPtr push_task(Task task, std::string_view label);
+  /// The one dependency fold: drops fired entries from pending_waits_,
+  /// appends the live ones after \p deps in deps_scratch_, and reduces the
+  /// result to nullptr (nothing unfired), the single unfired dep itself,
+  /// or a when_all combiner.
+  CompletionPtr fold_deps(std::span<const CompletionPtr> deps);
+  CompletionPtr push(util::Label label, util::Seconds duration,
+                     std::span<const CompletionPtr> deps, bool detached);
   void pump();
   void begin(Task task);
   void finish_task(std::uint64_t token);
@@ -162,6 +147,7 @@ class Stream {
   /// is attached, so unobserved streams move no strings through the queue.
   std::deque<std::string> labels_;
   std::vector<CompletionPtr> pending_waits_;
+  std::vector<CompletionPtr> deps_scratch_;  ///< fold_deps only; kept empty
   bool running_ = false;
   bool waiting_registered_ = false;
   std::uint64_t run_token_ = 0;  ///< guards FinishToken double-invoke

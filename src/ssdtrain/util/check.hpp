@@ -25,7 +25,15 @@ class ContractViolation : public std::logic_error {
     std::string msg;
     msg += kind;
     msg += " failed: ";
-    msg += what;
+    // what() is a C string: an embedded NUL (e.g. quoted from malformed
+    // input) would cut the message and the location short.
+    for (const char c : what) {
+      if (c == '\0') {
+        msg += "\\0";
+      } else {
+        msg += c;
+      }
+    }
     msg += " at ";
     msg += loc.file_name();
     msg += ":";

@@ -344,6 +344,30 @@ TEST(ClusterReplay, TraceVsReplayEquivalenceAcrossSchedules) {
   }
 }
 
+// Flow-path TP all-reduces make every layer wait_for() its collective on
+// the compute stream. The stream must drop waits once they fire, so the
+// wait list after a step does not depend on how many steps ran before it.
+TEST(ClusterStream, PendingWaitsDoNotGrowWithSteps) {
+  rt::ClusterConfig config;
+  config.model = m::gpt_config(2048, 4, 2);
+  config.parallel.pipeline_parallel = 2;
+  config.parallel.tensor_parallel = 2;
+  config.strategy = rt::Strategy::keep_in_gpu;
+  config.micro_batches = 4;
+  rt::ClusterSession cluster(std::move(config));
+  const auto waits = [&cluster] {
+    std::vector<std::size_t> per_gpu;
+    for (int g = 0; g < cluster.gpu_count(); ++g) {
+      per_gpu.push_back(cluster.node().gpu(g).compute_stream->pending_waits());
+    }
+    return per_gpu;
+  };
+  cluster.run_steps(10);
+  const std::vector<std::size_t> after_10 = waits();
+  cluster.run_steps(90);
+  EXPECT_EQ(waits(), after_10);
+}
+
 // More micro-batches fill the pipeline: the measured bubble must track the
 // closed form downward and approach it as compute dwarfs the boundary
 // transfers (keep-in-gpu, so no offload traffic competes for PCIe).

@@ -24,6 +24,7 @@
 #include "ssdtrain/trace/chrome_trace.hpp"
 #include "ssdtrain/util/check.hpp"
 #include "ssdtrain/util/units.hpp"
+#include "grammar_fuzz.hpp"
 
 namespace core = ssdtrain::core;
 namespace f = ssdtrain::fault;
@@ -119,6 +120,56 @@ TEST(FaultGrammar, MalformedSpecsAreContractViolations) {
                u::ContractViolation);  // needs a finite duration
   EXPECT_THROW((void)f::parse_faults("io-error:"), u::ContractViolation);
   EXPECT_THROW((void)f::parse_faults("io-error:rate"), u::ContractViolation);
+}
+
+TEST(FaultGrammar, FuzzedSpecsParseOrAreRejectedWithAMessage) {
+  const std::vector<std::string> corpus = {
+      "io-error:rate=0.01",
+      "ssd-derate:gpu=0,at=0.5,dur=0.2,factor=0.25",
+      "ssd-dropout:gpu=1,member=2,at=1.5",
+      "gpu-straggler:factor=1.5,at=0.1,dur=0.3",
+      "ssd-latency:latency=0.0002",
+      "pcie-derate:factor=0.5;nvlink-derate:gpu=2,factor=0.75,at=1",
+      "dp-derate:factor=0.9",
+      "stage-crash:gpu=0,at=2,dur=0.5,lose=state,recover=rollback",
+      "stage-crash:at=1e-3,dur=4096,lose=none,recover=resume",
+  };
+  const auto outcome =
+      grammar_fuzz::run(corpus, /*seed=*/17, /*iterations=*/20000,
+                        [](const std::string& text) {
+                          // Whatever parses must print back to text that
+                          // parses to the same number of specs.
+                          for (const auto& spec : f::parse_faults(text)) {
+                            ASSERT_EQ(f::parse_faults(spec.to_text()).size(),
+                                      1u)
+                                << spec.to_text();
+                          }
+                        });
+  // Both outcomes occur, so the mutants are neither all-valid nor
+  // rejected at the first byte.
+  EXPECT_GT(outcome.parsed, 100);
+  EXPECT_GT(outcome.rejected, 1000);
+}
+
+TEST(FaultGrammar, HostileNumbersAndBytesAreRejectedWithTheLocation) {
+  // Out-of-range and NaN integers are rejected before the int cast (which
+  // would be UB), and trailing bytes after a NUL are not ignored.
+  for (const char* text :
+       {"ssd-dropout:member=1e300", "ssd-dropout:member=nan",
+        "ssd-dropout:gpu=-1e300"}) {
+    EXPECT_THROW((void)f::parse_faults(text), u::ContractViolation) << text;
+  }
+  EXPECT_THROW((void)f::parse_faults(std::string("io-error:rate=0.5\0x", 19)),
+               u::ContractViolation);
+  // A NUL quoted into the message must not cut off the source location.
+  try {
+    (void)f::parse_faults(std::string("bogus\0kind", 10));
+    ADD_FAILURE() << "bogus kind parsed";
+  } catch (const u::ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bogus\\0kind"), std::string::npos) << what;
+    EXPECT_NE(what.find("fault.cpp:"), std::string::npos) << what;
+  }
 }
 
 TEST(CrashSchedule, MeanGapConvergesToMtbfAndArrivalsIncrease) {

@@ -48,6 +48,7 @@
 #include "ssdtrain/sweep/progress.hpp"
 #include "ssdtrain/sweep/resume.hpp"
 #include "ssdtrain/util/check.hpp"
+#include "grammar_fuzz.hpp"
 
 namespace fs = std::filesystem;
 namespace m = ssdtrain::modules;
@@ -239,6 +240,32 @@ TEST(OrchestrateChaos, ParsesTheGrammar) {
   EXPECT_FALSE(orc::parse_chaos("").enabled());
   EXPECT_THROW(orc::parse_chaos("explode:rate=1"), u::ContractViolation);
   EXPECT_THROW(orc::parse_chaos("kill:rate=lots"), u::ContractViolation);
+  // Out-of-range counts are rejected before the int cast (which is UB).
+  EXPECT_THROW(orc::parse_chaos("kill:rate=1,after=1e30"),
+               u::ContractViolation);
+  EXPECT_THROW(orc::parse_chaos("stall:rate=1,after=nan"),
+               u::ContractViolation);
+}
+
+TEST(OrchestrateChaos, FuzzedSpecsParseOrAreRejectedWithAMessage) {
+  const std::vector<std::string> corpus = {
+      "kill:rate=0.3,stall:rate=0.1",
+      "kill:rate=1,after=2,tear=1",
+      "kill:rate=0.5;stall:rate=0.2,after=3",
+      "stall:after=4096",
+      "kill:tear=0.25",
+  };
+  const auto outcome = grammar_fuzz::run(
+      corpus, /*seed=*/29, /*iterations=*/20000, [](const std::string& text) {
+        const orc::ChaosSpec spec = orc::parse_chaos(text);
+        EXPECT_GE(spec.kill_rate, 0.0);
+        EXPECT_LE(spec.kill_rate, 1.0);
+        EXPECT_GE(spec.stall_rate, 0.0);
+        EXPECT_LE(spec.stall_rate, 1.0);
+        EXPECT_GE(spec.after, 0);
+      });
+  EXPECT_GT(outcome.parsed, 100);
+  EXPECT_GT(outcome.rejected, 1000);
 }
 
 TEST(OrchestrateChaos, DrawsAreDeterministicPerShardAndAttempt) {

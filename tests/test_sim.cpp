@@ -101,7 +101,8 @@ TEST(Completion, WhenAllWaitsForEveryDep) {
   sim::Simulator s;
   auto a = sim::Completion::create(s);
   auto b = sim::Completion::create(s);
-  auto all = sim::when_all(s, {a, b});
+  const sim::CompletionPtr deps[] = {a, b};
+  auto all = sim::when_all(s, deps);
   s.schedule_at(1.0, [&] { a->fire(); });
   s.schedule_at(2.0, [&] { b->fire(); });
   s.run();
@@ -132,7 +133,8 @@ TEST(Stream, CrossStreamDependencyDelaysStart) {
   sim::Stream a(s, "a");
   sim::Stream b(s, "b");
   auto ka = a.enqueue("ka", 5.0);
-  auto kb = b.enqueue("kb", 1.0, {ka});
+  const sim::CompletionPtr deps[] = {ka};
+  auto kb = b.enqueue("kb", 1.0, deps);
   s.run();
   EXPECT_DOUBLE_EQ(kb->completion_time(), 6.0);
   // b was blocked, not busy, while a ran.
@@ -159,18 +161,6 @@ TEST(Stream, MarkerFiresAfterPriorWork) {
   EXPECT_DOUBLE_EQ(marker->completion_time(), 2.5);
 }
 
-TEST(Stream, DynamicTaskFinishesWhenCallbackInvoked) {
-  sim::Simulator s;
-  sim::Stream a(s, "a");
-  auto t = a.enqueue_dynamic("dyn", [&s](std::function<void()> finish) {
-    s.schedule_after(3.0, finish);
-  });
-  auto after = a.enqueue("next", 1.0);
-  s.run();
-  EXPECT_DOUBLE_EQ(t->completion_time(), 3.0);
-  EXPECT_DOUBLE_EQ(after->completion_time(), 4.0);
-}
-
 TEST(Stream, ObserverSeesTaskRecords) {
   sim::Simulator s;
   sim::Stream a(s, "a");
@@ -185,20 +175,6 @@ TEST(Stream, ObserverSeesTaskRecords) {
   EXPECT_EQ(records[0].label, "k1");
   EXPECT_DOUBLE_EQ(records[1].start, 1.0);
   EXPECT_DOUBLE_EQ(records[1].end, 3.0);
-}
-
-TEST(Stream, StaleFinishTokenIsRejected) {
-  sim::Simulator s;
-  sim::Stream a(s, "a");
-  sim::Stream::FinishToken stolen;
-  a.enqueue_dynamic("dyn", [&stolen, &s](sim::Stream::FinishToken finish) {
-    stolen = finish;
-    s.schedule_after(1.0, finish);
-  });
-  s.run();
-  // The task already finished; invoking its token again must trip the
-  // double-finish guard instead of corrupting stream state.
-  EXPECT_THROW(stolen(), u::ContractViolation);
 }
 
 TEST(Stream, LabelsAreOnlyRetainedWhileObserved) {
@@ -222,10 +198,49 @@ TEST(Stream, SingleDependencyUsesTheDepDirectly) {
   sim::Stream a(s, "a");
   sim::Stream b(s, "b");
   auto ka = a.enqueue("ka", 2.0);
-  auto kb = b.enqueue_after("kb", 1.0, ka);
+  const sim::CompletionPtr deps[] = {ka};
+  auto kb = b.enqueue("kb", 1.0, deps);
   s.run();
   EXPECT_DOUBLE_EQ(kb->completion_time(), 3.0);
   EXPECT_DOUBLE_EQ(b.busy_time(), 1.0);
+}
+
+TEST(Stream, FiredWaitsAreDroppedByTheNextEnqueue) {
+  sim::Simulator s;
+  sim::Stream a(s, "a");
+  std::vector<sim::CompletionPtr> waits;
+  for (int i = 0; i < 1000; ++i) {
+    waits.push_back(sim::Completion::create(s));
+    a.wait_for(waits.back());
+    s.schedule_at(0.001 * (i + 1), [w = waits.back()] { w->fire(); });
+  }
+  EXPECT_EQ(a.pending_waits(), 1000u);
+  s.run();
+  auto k = a.enqueue("k", 0.5);
+  EXPECT_EQ(a.pending_waits(), 0u);
+  s.run();
+  EXPECT_DOUBLE_EQ(k->completion_time(), waits.back()->completion_time() + 0.5);
+}
+
+TEST(Stream, UnfiredWaitsStayUntilTheyFire) {
+  sim::Simulator s;
+  sim::Stream a(s, "a");
+  auto early = sim::Completion::create(s);
+  auto late = sim::Completion::create(s);
+  a.wait_for(early);
+  a.wait_for(late);
+  s.schedule_at(1.0, [&] { early->fire(); });
+  s.schedule_at(2.0, [&] { late->fire(); });
+  auto k1 = a.enqueue("k1", 0.5);
+  EXPECT_EQ(a.pending_waits(), 2u);
+  s.run_until(1.5);
+  auto k2 = a.enqueue("k2", 0.5);
+  EXPECT_EQ(a.pending_waits(), 1u);  // early fired, late still holds
+  s.run();
+  EXPECT_DOUBLE_EQ(k1->completion_time(), 2.5);
+  EXPECT_DOUBLE_EQ(k2->completion_time(), 3.0);
+  a.record_marker();
+  EXPECT_EQ(a.pending_waits(), 0u);
 }
 
 TEST(ThreadPool, StaleFinishTokenIsRejected) {

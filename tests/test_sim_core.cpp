@@ -327,7 +327,8 @@ TEST(CompletionFastPath, WhenAllOfSingleUnfiredDepReturnsTheDep) {
   sim::Simulator s;
   auto fired = sim::Completion::already_done(s);
   auto pending = sim::Completion::create(s, "dep");
-  auto all = sim::when_all(s, {fired, pending});
+  const sim::CompletionPtr deps[] = {fired, pending};
+  auto all = sim::when_all(s, deps);
   EXPECT_EQ(all.get(), pending.get());
 }
 
@@ -335,7 +336,8 @@ TEST(CompletionFastPath, WhenAllOfAllFiredDepsIsFreshAndDone) {
   sim::Simulator s;
   auto a = sim::Completion::already_done(s);
   auto b = sim::Completion::already_done(s);
-  auto all = sim::when_all(s, {a, b});
+  const sim::CompletionPtr deps[] = {a, b};
+  auto all = sim::when_all(s, deps);
   EXPECT_TRUE(all->done());
   EXPECT_NE(all.get(), a.get());
   EXPECT_NE(all.get(), b.get());
