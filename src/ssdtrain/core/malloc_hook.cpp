@@ -20,16 +20,10 @@ void CudaMallocHookLibrary::install(hw::DeviceAllocator& allocator) {
       });
 }
 
-util::Seconds CudaMallocHookLibrary::transfer_setup_latency(
-    util::Bytes bytes) const {
-  if (installed_) {
-    // Buffer already registered: just the cuFile submission overhead.
-    return util::us(3);
-  }
-  // cuFileBufRegister on the critical path: fixed cost plus page-pinning
-  // that scales with the buffer.
-  return util::us(50) +
-         static_cast<double>(bytes) / static_cast<double>(util::gib(64));
+util::Seconds CudaMallocHookLibrary::transfer_setup_latency() const {
+  // Buffer already registered: just the cuFile submission overhead.
+  // Otherwise cuFileBufRegister sits on the critical path.
+  return installed_ ? util::us(3) : util::us(50);
 }
 
 }  // namespace ssdtrain::core

@@ -6,9 +6,9 @@
 /// every allocation is registered (and deregistered) with GPUDirect Storage
 /// for peak transfer performance — without replacing PyTorch's memory
 /// allocator. Here it attaches to the DeviceAllocator's allocation hook and
-/// tracks the registered footprint; the SSD offloader consults it to decide
-/// the per-transfer setup cost (pre-registered buffers skip the cuFile
-/// registration round trip).
+/// tracks the registered footprint; the offloader's SSD targets consult it
+/// to decide the per-transfer setup cost (pre-registered buffers skip the
+/// cuFile registration round trip).
 
 #include <cstdint>
 #include <memory>
@@ -35,10 +35,10 @@ class CudaMallocHookLibrary {
     return stats_->deregistrations;
   }
 
-  /// Per-I/O setup latency for a transfer touching \p bytes of device
-  /// memory: negligible when buffers are pre-registered, a registration
-  /// round trip (scaling mildly with size) when they are not.
-  [[nodiscard]] util::Seconds transfer_setup_latency(util::Bytes bytes) const;
+  /// Per-I/O setup latency: the cuFile submission overhead when buffers
+  /// are pre-registered, plus a fixed registration round trip when they
+  /// are not.
+  [[nodiscard]] util::Seconds transfer_setup_latency() const;
 
  private:
   /// Counter block shared with the installed hook closure. The allocator

@@ -13,24 +13,18 @@ namespace {
 // Interned once; per-tensor identity rides in the Label's tag payload, so
 // naming a transfer allocates nothing and renders ("store:t000042-...")
 // only on demand.
+util::Label tagged(util::Label prefix, const TensorId& id) {
+  return util::Label::tagged(prefix, id.stamp, id.shape_key);
+}
+
 util::Label store_label(const TensorId& id) {
   static const util::Label kPrefix("store");
-  return util::Label::tagged(kPrefix, id.stamp, id.shape_key);
+  return tagged(kPrefix, id);
 }
 
 util::Label load_label(const TensorId& id) {
   static const util::Label kPrefix("load");
-  return util::Label::tagged(kPrefix, id.stamp, id.shape_key);
-}
-
-util::Label d2h_label(const TensorId& id) {
-  static const util::Label kPrefix("d2h");
-  return util::Label::tagged(kPrefix, id.stamp, id.shape_key);
-}
-
-util::Label h2d_label(const TensorId& id) {
-  static const util::Label kPrefix("h2d");
-  return util::Label::tagged(kPrefix, id.stamp, id.shape_key);
+  return tagged(kPrefix, id);
 }
 
 util::Seconds backoff_for(const OffloadFaultPolicy& policy, int attempt) {
@@ -74,70 +68,72 @@ void schedule_recompute(hw::TrainingNode& node, const OffloadFaultPolicy& policy
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// SsdOffloader
-// ---------------------------------------------------------------------------
-
-SsdOffloader::SsdOffloader(hw::TrainingNode& node,
-                           tensor::TensorFactory& factory,
-                           SsdOffloaderConfig config,
-                           const CudaMallocHookLibrary* malloc_hook)
+Offloader::Offloader(hw::TrainingNode& node, tensor::TensorFactory& factory,
+                     OffloaderConfig config,
+                     const CudaMallocHookLibrary* malloc_hook)
     : node_(node),
       factory_(factory),
       config_(config),
       malloc_hook_(malloc_hook),
-      store_pool_(node.simulator(), "ssd-store",
+      store_pool_(node.simulator(), on_ssd() ? "ssd-store" : "cpu-store",
                   static_cast<std::size_t>(config.store_workers)),
-      load_pool_(node.simulator(), "ssd-load",
+      load_pool_(node.simulator(), on_ssd() ? "ssd-load" : "cpu-load",
                  static_cast<std::size_t>(config.load_workers)) {
-  util::expects(node.has_array(config_.gpu_index),
+  const int gpu = config_.gpu_index;
+  util::expects(!on_ssd() || node.has_array(gpu),
                 "SSD offloader needs an array for this GPU");
-}
-
-util::Seconds SsdOffloader::transfer_setup_latency() const {
-  if (malloc_hook_ != nullptr) {
-    return malloc_hook_->transfer_setup_latency(0);
+  switch (config_.target) {
+    case OffloadTarget::ssd_gds:
+      write_path_ = node.gds_write_path(gpu);
+      read_path_ = node.gds_read_path(gpu);
+      break;
+    case OffloadTarget::ssd_bounce:
+      write_path_ = node.bounce_write_path(gpu);
+      read_path_ = node.bounce_read_path(gpu);
+      break;
+    case OffloadTarget::host_pinned:
+      write_path_ = node.d2h_path(gpu);
+      read_path_ = node.h2d_path(gpu);
+      break;
   }
-  // No hook library: unregistered buffers, pay the slow path. One shared
-  // uninstalled instance — this runs per transfer, and constructing a
-  // CudaMallocHookLibrary allocates its stats block.
-  static const CudaMallocHookLibrary uninstalled;
-  return uninstalled.transfer_setup_latency(0);
+  write_flow_ = on_ssd() ? "store" : "d2h";
+  read_flow_ = on_ssd() ? "load" : "h2d";
 }
 
-std::optional<sim::CompletionPtr> SsdOffloader::store(
-    const TensorId& id, const Tensor& t, sim::CompletionPtr ready) {
+std::optional<sim::CompletionPtr> Offloader::store(const TensorId& id,
+                                                   const Tensor& t,
+                                                   sim::CompletionPtr ready) {
   util::expects(t.defined() && !t.is_cpu(), "store expects a device tensor");
   util::expects(!slots_.contains(id), "tensor already offloaded");
 
-  auto& array = node_.array(config_.gpu_index);
   Slot slot;
-  slot.extent = array.allocate_extent(t.bytes());
+  if (on_ssd()) {
+    slot.extent = node_.array(config_.gpu_index).allocate_extent(t.bytes());
+  } else {
+    auto allocation = node_.pinned_pool().allocate(t.bytes());
+    if (!allocation) {
+      // Pinned pool exhausted: the tensor cache keeps the tensor on GPU.
+      ++stats_.failed_stores;
+      return std::nullopt;
+    }
+    slot.allocation = *allocation;
+  }
   slot.store_in_flight = true;
   slots_.emplace(id, std::move(slot));
 
   ++stats_.stores;
   stats_.bytes_stored += t.bytes();
 
-  const auto path = config_.use_gds
-                        ? node_.gds_write_path(config_.gpu_index)
-                        : node_.bounce_write_path(config_.gpu_index);
-  const util::Seconds setup = transfer_setup_latency();
-  const util::Bytes bytes = t.bytes();
-
   // The job holds a strong reference to the tensor for the duration of the
   // transfer: device memory must stay mapped while the DMA engine reads it,
   // even if the tensor cache has already dropped its own reference.
-  Tensor pinned_ref = t;
-  auto done = store_pool_.submit(
+  return store_pool_.submit(
       store_label(id),
-      [this, id, bytes, path, setup, ready,
-       pinned_ref](sim::SimThreadPool::FinishToken finish) mutable {
-        auto begin_io = [this, id, bytes, path = std::move(path), setup,
-                         pinned_ref = std::move(pinned_ref),
+      [this, id, ready, pinned_ref = t](
+          sim::SimThreadPool::FinishToken finish) mutable {
+        auto begin_io = [this, id, pinned_ref = std::move(pinned_ref),
                          finish]() mutable {
-          store_attempt(id, bytes, std::move(path), setup,
-                        std::move(pinned_ref), finish, 1);
+          store_attempt(id, std::move(pinned_ref), finish, 1);
         };
         if (ready && !ready->done()) {
           ready->add_waiter(std::move(begin_io));
@@ -145,94 +141,123 @@ std::optional<sim::CompletionPtr> SsdOffloader::store(
           begin_io();
         }
       });
-  return done;
 }
 
-void SsdOffloader::store_attempt(const TensorId& id, util::Bytes bytes,
-                                 Path path, util::Seconds setup,
-                                 Tensor pinned_ref,
-                                 sim::SimThreadPool::FinishToken finish,
-                                 int attempt) {
-  auto& sim = node_.simulator();
-  auto& net = node_.network();
-  util::Seconds attempt_setup = setup;
-  if (fault::FaultInjector* injector = config_.fault.injector) {
+Offloader::Attempt Offloader::begin_attempt() {
+  Attempt attempt;
+  if (on_ssd()) {
+    // Without the hook library the buffers are unregistered and every
+    // transfer pays the slow path. One shared uninstalled instance:
+    // constructing a CudaMallocHookLibrary allocates its stats block.
+    static const CudaMallocHookLibrary uninstalled;
+    attempt.setup = (malloc_hook_ != nullptr ? *malloc_hook_ : uninstalled)
+                        .transfer_setup_latency();
+  }
+  fault::FaultInjector* injector = config_.fault.injector;
+  if (injector == nullptr) return attempt;
+  if (on_ssd()) {
     const util::Seconds extra = injector->extra_io_latency(config_.gpu_index);
     if (extra > 0.0) {
-      attempt_setup += extra;
+      attempt.setup += extra;
       stats_.fault_extra_latency += extra;
     }
-    IoError err = injector->io_attempt(config_.gpu_index);
-    if (!err && config_.fault.attempt_timeout > 0.0 &&
-        attempt_setup >= config_.fault.attempt_timeout) {
-      err = IoError{IoErrorCode::timeout};
-    }
-    if (err) {
-      ++stats_.io_failures;
-      auto it = slots_.find(id);
-      util::check(it != slots_.end(), "store slot vanished");
-      auto& array = node_.array(config_.gpu_index);
-      // The aborted attempt still programmed NAND up to the failure point:
-      // charge the stripes anyway, so retries show up as extra write
-      // amplification in the endurance model.
-      array.record_write(it->second.extent);
-      if (attempt >= config_.fault.max_attempts) {
-        // Retries exhausted: give up on offloading this tensor. The extent
-        // never held valid data; the cache sees store_status() == data_lost
-        // at store-done time and keeps the tensor on GPU instead.
-        array.release_extent(it->second.extent);
-        it->second.store_in_flight = false;
-        it->second.lost = true;
-        ++stats_.store_faults;
-        if (it->second.release_deferred) {
-          slots_.erase(it);
-          ++stats_.releases;
-        }
-        pinned_ref.reset();
-        finish();
-        return;
-      }
-      ++stats_.io_retries;
-      const util::Seconds backoff = backoff_for(config_.fault, attempt);
-      stats_.retry_backoff_time += backoff;
-      // The worker stays occupied across the backoff, as a real retry loop
-      // holding its queue slot would.
-      sim.schedule_after(
-          attempt_setup + backoff,
-          [this, id, bytes, path = std::move(path), setup,
-           pinned_ref = std::move(pinned_ref), finish, attempt]() mutable {
-            store_attempt(id, bytes, std::move(path), setup,
-                          std::move(pinned_ref), finish, attempt + 1);
-          });
-      return;
-    }
   }
-  sim.schedule_after(
-      attempt_setup, [this, id, bytes, path = std::move(path),
-                      pinned_ref = std::move(pinned_ref), &net,
-                      finish]() mutable {
-        net.start_flow(
-            store_label(id), bytes, std::move(path),
-            [this, id, pinned_ref, finish]() mutable {
-              auto it = slots_.find(id);
-              util::check(it != slots_.end(), "store slot vanished");
-              auto& array = node_.array(config_.gpu_index);
-              array.record_write(it->second.extent);
-              it->second.store_in_flight = false;
-              if (it->second.release_deferred) {
-                array.release_extent(it->second.extent);
-                slots_.erase(it);
-                ++stats_.releases;
-              }
-              pinned_ref.reset();  // transfer done: drop the DMA pin
-              finish();
-            });
-      });
+  attempt.error = injector->io_attempt(config_.gpu_index);
+  // Host attempts have no setup, so the deadline never trips for them.
+  if (!attempt.error && config_.fault.attempt_timeout > 0.0 &&
+      attempt.setup >= config_.fault.attempt_timeout) {
+    attempt.error = IoError{IoErrorCode::timeout};
+  }
+  if (attempt.error) ++stats_.io_failures;
+  return attempt;
 }
 
-LoadTicket SsdOffloader::load(const TensorId& id, util::Label label,
-                              tensor::TensorShape shape,
-                              tensor::DType dtype) {
+util::Seconds Offloader::note_retry(int attempt) {
+  ++stats_.io_retries;
+  const util::Seconds backoff = backoff_for(config_.fault, attempt);
+  stats_.retry_backoff_time += backoff;
+  return backoff;
+}
+
+void Offloader::charge_write(const Slot& slot) {
+  if (on_ssd()) node_.array(config_.gpu_index).record_write(slot.extent);
+}
+
+void Offloader::free_target(Slot& slot) {
+  if (on_ssd()) {
+    node_.array(config_.gpu_index).release_extent(slot.extent);
+  } else {
+    node_.pinned_pool().free(slot.allocation);
+  }
+}
+
+void Offloader::store_attempt(const TensorId& id, Tensor pinned_ref,
+                              sim::SimThreadPool::FinishToken finish,
+                              int attempt) {
+  auto& sim = node_.simulator();
+  const Attempt a = begin_attempt();
+  if (a.error) {
+    auto it = slots_.find(id);
+    util::check(it != slots_.end(), "store slot vanished");
+    // The aborted attempt still programmed NAND up to the failure point:
+    // charge the stripes anyway, so retries show up as extra write
+    // amplification in the endurance model.
+    charge_write(it->second);
+    if (attempt >= config_.fault.max_attempts) {
+      // Retries exhausted: give up on offloading this tensor. The
+      // reservation never held valid data; the cache sees store_status()
+      // == data_lost at store-done time and keeps the tensor on GPU.
+      free_target(it->second);
+      it->second.store_in_flight = false;
+      it->second.lost = true;
+      ++stats_.store_faults;
+      if (it->second.release_deferred) {
+        slots_.erase(it);
+        ++stats_.releases;
+      }
+      pinned_ref.reset();
+      finish();
+      return;
+    }
+    // The worker stays occupied across the backoff, as a real retry loop
+    // holding its queue slot would.
+    sim.schedule_after(
+        a.setup + note_retry(attempt),
+        [this, id, pinned_ref = std::move(pinned_ref), finish,
+         attempt]() mutable {
+          store_attempt(id, std::move(pinned_ref), finish, attempt + 1);
+        });
+    return;
+  }
+  auto start_flow = [this, id, pinned_ref = std::move(pinned_ref),
+                     finish]() mutable {
+    const util::Bytes bytes = pinned_ref.bytes();
+    node_.network().start_flow(
+        tagged(write_flow_, id), bytes, write_path_,
+        [this, id, pinned_ref = std::move(pinned_ref), finish]() mutable {
+          auto it = slots_.find(id);
+          util::check(it != slots_.end(), "store slot vanished");
+          charge_write(it->second);
+          it->second.store_in_flight = false;
+          if (it->second.release_deferred) {
+            free_target(it->second);
+            slots_.erase(it);
+            ++stats_.releases;
+          }
+          pinned_ref.reset();  // transfer done: drop the DMA pin
+          finish();
+        });
+  };
+  // SSD transfers pay their setup first; host DMA starts in this event.
+  if (on_ssd()) {
+    sim.schedule_after(a.setup, std::move(start_flow));
+  } else {
+    start_flow();
+  }
+}
+
+LoadTicket Offloader::load(const TensorId& id, util::Label label,
+                           tensor::TensorShape shape, tensor::DType dtype) {
   auto it = slots_.find(id);
   util::expects(it != slots_.end(), "load of tensor never stored");
   util::expects(!it->second.store_in_flight,
@@ -248,13 +273,14 @@ LoadTicket SsdOffloader::load(const TensorId& id, util::Label label,
     IoError gone{};
     if (it->second.lost) {
       gone = IoError{IoErrorCode::data_lost};
-    } else if (node_.array(config_.gpu_index).extent_lost(it->second.extent)) {
+    } else if (on_ssd() && node_.array(config_.gpu_index)
+                               .extent_lost(it->second.extent)) {
       gone = IoError{IoErrorCode::device_lost};
     }
     if (gone) {
       // The copy is unrecoverable (store never landed, or a RAID member
       // carrying its stripes dropped): skip the load pool entirely and
-      // rematerialise. Not counted as a load — no bytes left the array.
+      // rematerialise. Not counted as a load — no bytes left the target.
       schedule_recompute(node_, config_.fault, config_.gpu_index, stats_,
                          done, dst, gone);
       return LoadTicket{dst, done};
@@ -264,320 +290,82 @@ LoadTicket SsdOffloader::load(const TensorId& id, util::Label label,
   ++stats_.loads;
   stats_.bytes_loaded += dst.bytes();
 
-  const auto path = config_.use_gds ? node_.gds_read_path(config_.gpu_index)
-                                    : node_.bounce_read_path(config_.gpu_index);
-  const util::Seconds setup = transfer_setup_latency();
-  const util::Bytes bytes = dst.bytes();
-  const hw::ArrayExtent extent = it->second.extent;
-
   // Hold the destination alive until the data lands.
-  Tensor pinned_dst = dst;
   load_pool_.submit(
       load_label(id),
-      [this, id, bytes, path, setup, extent, done,
-       pinned_dst](sim::SimThreadPool::FinishToken finish) mutable {
-        load_attempt(id, bytes, std::move(path), setup, extent, done,
-                     std::move(pinned_dst), finish, 1);
-      });
-  return LoadTicket{dst, done};
-}
-
-void SsdOffloader::load_attempt(const TensorId& id, util::Bytes bytes,
-                                Path path, util::Seconds setup,
-                                hw::ArrayExtent extent, sim::CompletionPtr done,
-                                Tensor pinned_dst,
-                                sim::SimThreadPool::FinishToken finish,
-                                int attempt) {
-  auto& sim = node_.simulator();
-  auto& net = node_.network();
-  util::Seconds attempt_setup = setup;
-  if (fault::FaultInjector* injector = config_.fault.injector) {
-    const util::Seconds extra = injector->extra_io_latency(config_.gpu_index);
-    if (extra > 0.0) {
-      attempt_setup += extra;
-      stats_.fault_extra_latency += extra;
-    }
-    IoError err = injector->io_attempt(config_.gpu_index);
-    if (!err && config_.fault.attempt_timeout > 0.0 &&
-        attempt_setup >= config_.fault.attempt_timeout) {
-      err = IoError{IoErrorCode::timeout};
-    }
-    if (err) {
-      ++stats_.io_failures;
-      if (attempt >= config_.fault.max_attempts) {
-        // Retries exhausted: escalate down the ladder to recompute. The
-        // bytes were charged optimistically at load() time; no data
-        // actually left the array.
-        stats_.bytes_loaded -= bytes;
-        schedule_recompute(node_, config_.fault, config_.gpu_index, stats_,
-                           done, std::move(pinned_dst), err);
-        finish();
-        return;
-      }
-      ++stats_.io_retries;
-      const util::Seconds backoff = backoff_for(config_.fault, attempt);
-      stats_.retry_backoff_time += backoff;
-      sim.schedule_after(
-          attempt_setup + backoff,
-          [this, id, bytes, path = std::move(path), setup, extent, done,
-           pinned_dst = std::move(pinned_dst), finish, attempt]() mutable {
-            load_attempt(id, bytes, std::move(path), setup, extent, done,
-                         std::move(pinned_dst), finish, attempt + 1);
-          });
-      return;
-    }
-  }
-  sim.schedule_after(
-      attempt_setup,
-      [this, id, bytes, path = std::move(path), extent, done,
-       pinned_dst = std::move(pinned_dst), &net, finish]() mutable {
-        net.start_flow(load_label(id), bytes, std::move(path),
-                       [this, extent, done, pinned_dst, finish]() mutable {
-                         node_.array(config_.gpu_index).record_read(extent);
-                         done->fire();
-                         pinned_dst.reset();
-                         finish();
-                       });
-      });
-}
-
-void SsdOffloader::release(const TensorId& id) {
-  auto it = slots_.find(id);
-  util::expects(it != slots_.end(), "release of unknown tensor");
-  if (it->second.store_in_flight) {
-    it->second.release_deferred = true;
-    return;
-  }
-  if (!it->second.lost) {
-    node_.array(config_.gpu_index).release_extent(it->second.extent);
-  }
-  slots_.erase(it);
-  ++stats_.releases;
-}
-
-std::string SsdOffloader::target_name() const {
-  return "ssd:" + node_.array(config_.gpu_index).name() +
-         (config_.use_gds ? " (gds)" : " (bounce)");
-}
-
-const OffloaderStats& SsdOffloader::stats() const { return stats_; }
-
-IoError SsdOffloader::store_status(const TensorId& id) const {
-  auto it = slots_.find(id);
-  if (it != slots_.end() && it->second.lost) {
-    return IoError{IoErrorCode::data_lost};
-  }
-  return {};
-}
-
-// ---------------------------------------------------------------------------
-// CpuOffloader
-// ---------------------------------------------------------------------------
-
-CpuOffloader::CpuOffloader(hw::TrainingNode& node,
-                           tensor::TensorFactory& factory,
-                           CpuOffloaderConfig config)
-    : node_(node),
-      factory_(factory),
-      config_(config),
-      store_pool_(node.simulator(), "cpu-store",
-                  static_cast<std::size_t>(config.store_workers)),
-      load_pool_(node.simulator(), "cpu-load",
-                 static_cast<std::size_t>(config.load_workers)) {}
-
-std::optional<sim::CompletionPtr> CpuOffloader::store(
-    const TensorId& id, const Tensor& t, sim::CompletionPtr ready) {
-  util::expects(t.defined() && !t.is_cpu(), "store expects a device tensor");
-  util::expects(!slots_.contains(id), "tensor already offloaded");
-
-  auto allocation = node_.pinned_pool().allocate(t.bytes());
-  if (!allocation) {
-    // Pinned pool exhausted: the tensor cache keeps the tensor on GPU.
-    ++stats_.failed_stores;
-    return std::nullopt;
-  }
-  Slot slot;
-  slot.allocation = *allocation;
-  slot.store_in_flight = true;
-  slots_.emplace(id, std::move(slot));
-
-  ++stats_.stores;
-  stats_.bytes_stored += t.bytes();
-
-  const auto path = node_.d2h_path(config_.gpu_index);
-  const util::Bytes bytes = t.bytes();
-
-  Tensor pinned_ref = t;
-  auto done = store_pool_.submit(
-      store_label(id),
-      [this, id, bytes, path, ready,
-       pinned_ref](sim::SimThreadPool::FinishToken finish) mutable {
-        auto begin_io = [this, id, bytes, path = std::move(path),
-                         pinned_ref = std::move(pinned_ref),
-                         finish]() mutable {
-          store_attempt(id, bytes, std::move(path), std::move(pinned_ref),
-                        finish, 1);
-        };
-        if (ready && !ready->done()) {
-          ready->add_waiter(std::move(begin_io));
-        } else {
-          begin_io();
-        }
-      });
-  return done;
-}
-
-void CpuOffloader::store_attempt(const TensorId& id, util::Bytes bytes,
-                                 Path path, Tensor pinned_ref,
-                                 sim::SimThreadPool::FinishToken finish,
-                                 int attempt) {
-  auto& sim = node_.simulator();
-  auto& net = node_.network();
-  // The injected ssd-latency windows model NVMe-side stalls and do not
-  // apply to the host DMA path; io-error windows do (a flaky PCIe link
-  // corrupts D2H copies just as well).
-  if (fault::FaultInjector* injector = config_.fault.injector) {
-    IoError err = injector->io_attempt(config_.gpu_index);
-    if (err) {
-      ++stats_.io_failures;
-      auto it = slots_.find(id);
-      util::check(it != slots_.end(), "store slot vanished");
-      if (attempt >= config_.fault.max_attempts) {
-        node_.pinned_pool().free(it->second.allocation);
-        it->second.store_in_flight = false;
-        it->second.lost = true;
-        ++stats_.store_faults;
-        if (it->second.release_deferred) {
-          slots_.erase(it);
-          ++stats_.releases;
-        }
-        pinned_ref.reset();
-        finish();
-        return;
-      }
-      ++stats_.io_retries;
-      const util::Seconds backoff = backoff_for(config_.fault, attempt);
-      stats_.retry_backoff_time += backoff;
-      sim.schedule_after(
-          backoff, [this, id, bytes, path = std::move(path),
-                    pinned_ref = std::move(pinned_ref), finish,
-                    attempt]() mutable {
-            store_attempt(id, bytes, std::move(path), std::move(pinned_ref),
-                          finish, attempt + 1);
-          });
-      return;
-    }
-  }
-  net.start_flow(d2h_label(id), bytes, std::move(path),
-                 [this, id, pinned_ref, finish]() mutable {
-                   auto it = slots_.find(id);
-                   util::check(it != slots_.end(), "store slot vanished");
-                   it->second.store_in_flight = false;
-                   if (it->second.release_deferred) {
-                     node_.pinned_pool().free(it->second.allocation);
-                     slots_.erase(it);
-                     ++stats_.releases;
-                   }
-                   pinned_ref.reset();
-                   finish();
-                 });
-}
-
-LoadTicket CpuOffloader::load(const TensorId& id, util::Label label,
-                              tensor::TensorShape shape,
-                              tensor::DType dtype) {
-  auto it = slots_.find(id);
-  util::expects(it != slots_.end(), "load of tensor never stored");
-  util::expects(!it->second.store_in_flight,
-                "load while store in flight (forwarding should cover this)");
-
-  auto& sim = node_.simulator();
-  Tensor dst = factory_.cuda(label, std::move(shape), dtype,
-                             hw::MemoryTag::activation);
-  auto done = sim::Completion::create(sim, load_label(id));
-  dst.storage()->set_ready_event(done);
-
-  if (config_.fault.injector != nullptr && it->second.lost) {
-    schedule_recompute(node_, config_.fault, config_.gpu_index, stats_, done,
-                       dst, IoError{IoErrorCode::data_lost});
-    return LoadTicket{dst, done};
-  }
-
-  ++stats_.loads;
-  stats_.bytes_loaded += dst.bytes();
-
-  const auto path = node_.h2d_path(config_.gpu_index);
-  const util::Bytes bytes = dst.bytes();
-
-  Tensor pinned_dst = dst;
-  load_pool_.submit(
-      load_label(id),
-      [this, id, bytes, path, done,
-       pinned_dst](sim::SimThreadPool::FinishToken finish) mutable {
-        load_attempt(id, bytes, std::move(path), done, std::move(pinned_dst),
+      [this, id, extent = it->second.extent, done,
+       pinned_dst = dst](sim::SimThreadPool::FinishToken finish) mutable {
+        load_attempt(id, std::move(extent), done, std::move(pinned_dst),
                      finish, 1);
       });
   return LoadTicket{dst, done};
 }
 
-void CpuOffloader::load_attempt(const TensorId& id, util::Bytes bytes,
-                                Path path, sim::CompletionPtr done,
-                                Tensor pinned_dst,
-                                sim::SimThreadPool::FinishToken finish,
-                                int attempt) {
+void Offloader::load_attempt(const TensorId& id, hw::ArrayExtent extent,
+                             sim::CompletionPtr done, Tensor pinned_dst,
+                             sim::SimThreadPool::FinishToken finish,
+                             int attempt) {
   auto& sim = node_.simulator();
-  auto& net = node_.network();
-  if (fault::FaultInjector* injector = config_.fault.injector) {
-    IoError err = injector->io_attempt(config_.gpu_index);
-    if (err) {
-      ++stats_.io_failures;
-      if (attempt >= config_.fault.max_attempts) {
-        stats_.bytes_loaded -= bytes;
-        schedule_recompute(node_, config_.fault, config_.gpu_index, stats_,
-                           done, std::move(pinned_dst), err);
-        finish();
-        return;
-      }
-      ++stats_.io_retries;
-      const util::Seconds backoff = backoff_for(config_.fault, attempt);
-      stats_.retry_backoff_time += backoff;
-      sim.schedule_after(
-          backoff, [this, id, bytes, path = std::move(path), done,
-                    pinned_dst = std::move(pinned_dst), finish,
-                    attempt]() mutable {
-            load_attempt(id, bytes, std::move(path), done,
-                         std::move(pinned_dst), finish, attempt + 1);
-          });
+  const Attempt a = begin_attempt();
+  if (a.error) {
+    if (attempt >= config_.fault.max_attempts) {
+      // Retries exhausted: escalate down the ladder to recompute. The
+      // bytes were charged optimistically at load() time; no data
+      // actually left the target.
+      stats_.bytes_loaded -= pinned_dst.bytes();
+      schedule_recompute(node_, config_.fault, config_.gpu_index, stats_,
+                         done, std::move(pinned_dst), a.error);
+      finish();
       return;
     }
+    sim.schedule_after(
+        a.setup + note_retry(attempt),
+        [this, id, extent = std::move(extent), done,
+         pinned_dst = std::move(pinned_dst), finish, attempt]() mutable {
+          load_attempt(id, std::move(extent), done, std::move(pinned_dst),
+                       finish, attempt + 1);
+        });
+    return;
   }
-  net.start_flow(h2d_label(id), bytes, std::move(path),
-                 [done, pinned_dst, finish]() mutable {
-                   done->fire();
-                   pinned_dst.reset();
-                   finish();
-                 });
+  auto start_flow = [this, id, extent = std::move(extent), done,
+                     pinned_dst = std::move(pinned_dst), finish]() mutable {
+    const util::Bytes bytes = pinned_dst.bytes();
+    node_.network().start_flow(
+        tagged(read_flow_, id), bytes, read_path_,
+        [this, extent = std::move(extent), done,
+         pinned_dst = std::move(pinned_dst), finish]() mutable {
+          if (on_ssd()) node_.array(config_.gpu_index).record_read(extent);
+          done->fire();
+          pinned_dst.reset();
+          finish();
+        });
+  };
+  if (on_ssd()) {
+    sim.schedule_after(a.setup, std::move(start_flow));
+  } else {
+    start_flow();
+  }
 }
 
-void CpuOffloader::release(const TensorId& id) {
+void Offloader::release(const TensorId& id) {
   auto it = slots_.find(id);
   util::expects(it != slots_.end(), "release of unknown tensor");
   if (it->second.store_in_flight) {
     it->second.release_deferred = true;
     return;
   }
-  if (!it->second.lost) {
-    node_.pinned_pool().free(it->second.allocation);
-  }
+  if (!it->second.lost) free_target(it->second);
   slots_.erase(it);
   ++stats_.releases;
 }
 
-std::string CpuOffloader::target_name() const { return "cpu:pinned-pool"; }
+std::string Offloader::target_name() const {
+  if (!on_ssd()) return "cpu:pinned-pool";
+  return "ssd:" + node_.array(config_.gpu_index).name() +
+         (config_.target == OffloadTarget::ssd_gds ? " (gds)" : " (bounce)");
+}
 
-const OffloaderStats& CpuOffloader::stats() const { return stats_; }
-
-IoError CpuOffloader::store_status(const TensorId& id) const {
+IoError Offloader::store_status(const TensorId& id) const {
   auto it = slots_.find(id);
   if (it != slots_.end() && it->second.lost) {
     return IoError{IoErrorCode::data_lost};

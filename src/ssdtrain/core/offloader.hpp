@@ -1,21 +1,23 @@
 #pragma once
 
 /// \file offloader.hpp
-/// Offloader backends (paper §III-A). Each offloader encapsulates the logic
-/// to transfer CUDA tensors to and from one target:
-///   * SsdOffloader — NVMe RAID0 array in the same node, via the GDS direct
-///     path (GPU -> PCIe -> SSD, no host bounce) or the bounce path for the
-///     no-GDS ablation. Two FIFO thread pools (store, load) issue the I/O.
-///   * CpuOffloader — host pinned-memory pool over the plain D2H/H2D path
-///     (the paper positions this for future remote-storage work).
-/// Store jobs wait for the producing kernel's completion before touching
-/// the data; load completions become the ready events consumers wait on.
+/// The offloader (paper §III-A): one engine that moves CUDA tensors to and
+/// from one of three targets (OffloadTarget): the node's NVMe RAID0 array,
+/// over GDS or through a host bounce buffer, or the host pinned-memory pool
+/// (which the paper positions for future remote-storage work). Slot table,
+/// DMA pins, deferred release, the retry/backoff ladder and the stats exist
+/// once; the target only picks how space is reserved and freed, the
+/// per-attempt setup, NAND accounting, the loss check, and the flow paths
+/// and labels. Two FIFO thread pools (store, load) issue the I/O. Store
+/// jobs wait for the producing kernel's completion before touching the
+/// data; load completions become the ready events consumers wait on.
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "ssdtrain/core/malloc_hook.hpp"
 #include "ssdtrain/fault/io_error.hpp"
@@ -38,7 +40,7 @@ struct OffloaderStats {
   util::Bytes bytes_stored = 0;
   util::Bytes bytes_loaded = 0;  ///< bytes read back from the target
   std::uint64_t releases = 0;
-  std::uint64_t failed_stores = 0;  ///< CPU offloader: pinned pool exhausted
+  std::uint64_t failed_stores = 0;  ///< host target: pinned pool exhausted
 
   // Fault-injection reactions (all zero with the injector disabled).
   std::uint64_t io_retries = 0;     ///< attempts re-issued after an error
@@ -78,157 +80,116 @@ struct LoadTicket {
   sim::CompletionPtr done;
 };
 
+/// Where offloaded activations live. The two SSD targets share the NVMe
+/// array and differ only in the route; the host target is the pinned pool.
+enum class OffloadTarget : std::uint8_t {
+  ssd_gds,      ///< GPU -> PCIe -> SSD, no host bounce (the paper's path)
+  ssd_bounce,   ///< GPU -> host bounce buffer -> SSD (the no-GDS ablation)
+  host_pinned,  ///< plain D2H/H2D into the host pinned-memory pool
+};
+
+struct OffloaderConfig {
+  OffloadTarget target = OffloadTarget::ssd_gds;
+  int gpu_index = 0;
+  int store_workers = 2;
+  int load_workers = 2;
+  OffloadFaultPolicy fault;
+};
+
 class Offloader {
  public:
-  virtual ~Offloader() = default;
+  /// \p malloc_hook (SSD targets only) decides the per-transfer setup
+  /// latency: pre-registered buffers skip cuFile's registration round trip.
+  Offloader(hw::TrainingNode& node, tensor::TensorFactory& factory,
+            OffloaderConfig config,
+            const CudaMallocHookLibrary* malloc_hook = nullptr);
 
   /// Begins storing \p t under \p id. The transfer starts once \p ready
   /// fires (producer kernel done) and a store-pool worker is free. Returns
-  /// the store completion, or std::nullopt if this offloader cannot take
-  /// the tensor right now (caller should keep it in GPU memory).
-  virtual std::optional<sim::CompletionPtr> store(
-      const tensor::TensorId& id, const tensor::Tensor& t,
-      sim::CompletionPtr ready) = 0;
+  /// the store completion, or std::nullopt if the target cannot take the
+  /// tensor right now (pinned pool exhausted: the caller keeps it in GPU
+  /// memory).
+  std::optional<sim::CompletionPtr> store(const tensor::TensorId& id,
+                                          const tensor::Tensor& t,
+                                          sim::CompletionPtr ready);
 
   /// Begins loading \p id back into a fresh device tensor. \p label names
   /// the destination tensor and is RETAINED for the tensor's lifetime
   /// (tensors carry interned labels now), so pass an owning form —
   /// interned or Label::suffixed — never a Label::view over scratch text.
-  virtual LoadTicket load(const tensor::TensorId& id, util::Label label,
-                          tensor::TensorShape shape, tensor::DType dtype) = 0;
+  LoadTicket load(const tensor::TensorId& id, util::Label label,
+                  tensor::TensorShape shape, tensor::DType dtype);
 
   /// Releases the offloaded copy (TRIM on SSD, pool free on host). Safe to
   /// call while a store is still in flight — the release is deferred until
   /// the store completes.
-  virtual void release(const tensor::TensorId& id) = 0;
+  void release(const tensor::TensorId& id);
 
-  [[nodiscard]] virtual std::string target_name() const = 0;
-  [[nodiscard]] virtual const OffloaderStats& stats() const = 0;
+  [[nodiscard]] std::string target_name() const;
+  [[nodiscard]] const OffloaderStats& stats() const { return stats_; }
 
   /// Typed status of the offloaded copy of \p id: data_lost after a store
   /// permanently failed (the cache then keeps the tensor on GPU instead of
   /// dropping it). none for healthy or unknown ids.
-  [[nodiscard]] virtual IoError store_status(const tensor::TensorId& id) const {
-    (void)id;
-    return {};
-  }
-};
-
-struct SsdOffloaderConfig {
-  int gpu_index = 0;
-  int store_workers = 2;
-  int load_workers = 2;
-  bool use_gds = true;  ///< false: bounce through host memory (ablation)
-  OffloadFaultPolicy fault;
-};
-
-class SsdOffloader final : public Offloader {
- public:
-  SsdOffloader(hw::TrainingNode& node, tensor::TensorFactory& factory,
-               SsdOffloaderConfig config,
-               const CudaMallocHookLibrary* malloc_hook = nullptr);
-
-  std::optional<sim::CompletionPtr> store(const tensor::TensorId& id,
-                                          const tensor::Tensor& t,
-                                          sim::CompletionPtr ready) override;
-  LoadTicket load(const tensor::TensorId& id, util::Label label,
-                  tensor::TensorShape shape, tensor::DType dtype) override;
-  void release(const tensor::TensorId& id) override;
-
-  [[nodiscard]] std::string target_name() const override;
-  [[nodiscard]] const OffloaderStats& stats() const override;
-  [[nodiscard]] IoError store_status(const tensor::TensorId& id) const
-      override;
-
-  [[nodiscard]] const sim::SimThreadPool& store_pool() const {
-    return store_pool_;
-  }
-  [[nodiscard]] const sim::SimThreadPool& load_pool() const {
-    return load_pool_;
-  }
+  [[nodiscard]] IoError store_status(const tensor::TensorId& id) const;
 
  private:
   struct Slot {
-    hw::ArrayExtent extent;
+    hw::ArrayExtent extent;         ///< SSD targets
+    hw::HostAllocation allocation;  ///< host target
     bool store_in_flight = false;
     bool release_deferred = false;
-    bool lost = false;  ///< store permanently failed; no data on the array
+    bool lost = false;  ///< store permanently failed; reservation freed
+  };
+
+  /// Setup latency and injected outcome of one transfer attempt.
+  struct Attempt {
+    util::Seconds setup = 0.0;
+    IoError error;
   };
 
   using Path = std::vector<sim::BandwidthNetwork::ResourceId>;
 
-  /// One store/load attempt: consults the injector, pays injected latency,
-  /// retries with exponential backoff on transient errors, and escalates
-  /// (store: keep-on-GPU; load: recompute fallback) once attempts run out.
-  void store_attempt(const tensor::TensorId& id, util::Bytes bytes, Path path,
-                     util::Seconds setup, tensor::Tensor pinned_ref,
+  [[nodiscard]] bool on_ssd() const {
+    return config_.target != OffloadTarget::host_pinned;
+  }
+
+  /// Consults the injector for one attempt and counts it in io_failures if
+  /// it fails. SSD attempts pay the malloc-hook setup latency and any
+  /// injected ssd-latency window, and time out once that setup reaches the
+  /// policy's deadline; host attempts pay neither (the windows model
+  /// NVMe-side stalls) but see io-error windows all the same (a flaky PCIe
+  /// link corrupts D2H copies too).
+  Attempt begin_attempt();
+
+  /// Books one retry and returns its backoff.
+  util::Seconds note_retry(int attempt);
+
+  /// One store/load attempt: retries with exponential backoff on transient
+  /// errors, and escalates (store: keep-on-GPU; load: recompute fallback)
+  /// once attempts run out.
+  void store_attempt(const tensor::TensorId& id, tensor::Tensor pinned_ref,
                      sim::SimThreadPool::FinishToken finish, int attempt);
-  void load_attempt(const tensor::TensorId& id, util::Bytes bytes, Path path,
-                    util::Seconds setup, hw::ArrayExtent extent,
+  void load_attempt(const tensor::TensorId& id, hw::ArrayExtent extent,
                     sim::CompletionPtr done, tensor::Tensor pinned_dst,
                     sim::SimThreadPool::FinishToken finish, int attempt);
 
-  /// Per-transfer setup latency: with the CUDA-malloc-hook library the
-  /// buffers are pre-registered with GDS; without it cuFileWrite pays a
-  /// registration round trip per I/O.
-  [[nodiscard]] util::Seconds transfer_setup_latency() const;
+  /// Charges a store attempt's NAND programming to the array (SSD only).
+  void charge_write(const Slot& slot);
+  /// Returns the slot's extent or pinned allocation to its target.
+  void free_target(Slot& slot);
 
   hw::TrainingNode& node_;
   tensor::TensorFactory& factory_;
-  SsdOffloaderConfig config_;
+  OffloaderConfig config_;
   const CudaMallocHookLibrary* malloc_hook_;
   sim::SimThreadPool store_pool_;
   sim::SimThreadPool load_pool_;
-  std::map<tensor::TensorId, Slot> slots_;
-  OffloaderStats stats_;
-};
-
-struct CpuOffloaderConfig {
-  int gpu_index = 0;
-  int store_workers = 2;
-  int load_workers = 2;
-  OffloadFaultPolicy fault;
-};
-
-class CpuOffloader final : public Offloader {
- public:
-  CpuOffloader(hw::TrainingNode& node, tensor::TensorFactory& factory,
-               CpuOffloaderConfig config);
-
-  std::optional<sim::CompletionPtr> store(const tensor::TensorId& id,
-                                          const tensor::Tensor& t,
-                                          sim::CompletionPtr ready) override;
-  LoadTicket load(const tensor::TensorId& id, util::Label label,
-                  tensor::TensorShape shape, tensor::DType dtype) override;
-  void release(const tensor::TensorId& id) override;
-
-  [[nodiscard]] std::string target_name() const override;
-  [[nodiscard]] const OffloaderStats& stats() const override;
-  [[nodiscard]] IoError store_status(const tensor::TensorId& id) const
-      override;
-
- private:
-  struct Slot {
-    hw::HostAllocation allocation;
-    bool store_in_flight = false;
-    bool release_deferred = false;
-    bool lost = false;  ///< store permanently failed; allocation freed
-  };
-
-  using Path = std::vector<sim::BandwidthNetwork::ResourceId>;
-
-  void store_attempt(const tensor::TensorId& id, util::Bytes bytes, Path path,
-                     tensor::Tensor pinned_ref,
-                     sim::SimThreadPool::FinishToken finish, int attempt);
-  void load_attempt(const tensor::TensorId& id, util::Bytes bytes, Path path,
-                    sim::CompletionPtr done, tensor::Tensor pinned_dst,
-                    sim::SimThreadPool::FinishToken finish, int attempt);
-
-  hw::TrainingNode& node_;
-  tensor::TensorFactory& factory_;
-  CpuOffloaderConfig config_;
-  sim::SimThreadPool store_pool_;
-  sim::SimThreadPool load_pool_;
+  // Resolved once: both depend only on the GPU and the target.
+  Path write_path_;
+  Path read_path_;
+  util::Label write_flow_;  ///< flow label prefix: "store" or "d2h"
+  util::Label read_flow_;   ///< flow label prefix: "load" or "h2d"
   std::map<tensor::TensorId, Slot> slots_;
   OffloaderStats stats_;
 };

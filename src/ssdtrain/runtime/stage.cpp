@@ -58,24 +58,22 @@ Stage::Stage(const TrainingConfig& config, hw::TrainingNode& node, int gpu,
 
   core::OffloadFaultPolicy fault = config.fault_policy;
   fault.injector = injector;
+  core::OffloaderConfig offloader_cfg{core::OffloadTarget::host_pinned, gpu,
+                                     config.store_workers,
+                                     config.load_workers, fault};
   util::BytesPerSecond target_bw = 0.0;
   if (offloads_to_ssd(config.strategy)) {
     util::expects(node.has_array(gpu),
                   "SSDTrain strategy needs an SSD array on this GPU");
-    offloader_ = std::make_unique<core::SsdOffloader>(
-        node, executor.factory(),
-        core::SsdOffloaderConfig{gpu, config.store_workers,
-                                 config.load_workers, config.use_gds, fault},
-        malloc_hook);
+    offloader_cfg.target = config.use_gds ? core::OffloadTarget::ssd_gds
+                                          : core::OffloadTarget::ssd_bounce;
     target_bw = ssd_write_bandwidth(node, gpu);
   } else {
-    offloader_ = std::make_unique<core::CpuOffloader>(
-        node, executor.factory(),
-        core::CpuOffloaderConfig{gpu, config.store_workers,
-                                 config.load_workers, fault});
     target_bw = std::min(hw::effective_bandwidth(node.config().pcie),
                          node.config().dram_bandwidth);
   }
+  offloader_ = std::make_unique<core::Offloader>(node, executor.factory(),
+                                                 offloader_cfg, malloc_hook);
 
   // Adaptive planning (Fig. 3): the offload amount follows the slice's
   // compute/activation profile, the GPU throughput and the target bandwidth.

@@ -32,7 +32,7 @@ namespace ssdtrain::runtime {
 enum class Strategy {
   keep_in_gpu,      ///< baseline: everything stays in device memory
   ssdtrain,         ///< offload to NVMe via GDS (the paper's system)
-  ssdtrain_cpu,     ///< offload to pinned host memory (CPU offloader)
+  ssdtrain_cpu,     ///< offload to pinned host memory (host_pinned target)
   recompute_full,   ///< layerwise full recomputation baseline
   /// Hybrid: activation checkpointing whose checkpoints are themselves
   /// offloaded to SSD, with rematerialised tensors kept in GPU memory by
@@ -138,7 +138,7 @@ class Stage {
   install_malloc_hook(const TrainingConfig& config, hw::TrainingNode& node,
                       int gpu);
 
-  /// Sizes the CPU offloader's pinned pool for the stages' summed \p budget
+  /// Sizes the host target's pinned pool for the stages' summed \p budget
   /// plus in-flight headroom (paper §III-A). No-op for other strategies.
   static void size_pinned_pool(hw::TrainingNode& node, Strategy strategy,
                                util::Bytes budget);

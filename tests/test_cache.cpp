@@ -41,7 +41,7 @@ class CacheTest : public ::testing::Test {
 
   hw::TrainingNode node_;
   t::TensorFactory factory_;
-  core::SsdOffloader offloader_;
+  core::Offloader offloader_;
 };
 
 }  // namespace
@@ -247,10 +247,12 @@ TEST_F(CacheTest, StepBeginResetsRecords) {
 }
 
 TEST_F(CacheTest, OffloaderRefusalFallsBackToKeep) {
-  // CPU offloader with a tiny pinned pool refuses; cache keeps the tensor.
+  // Host target with a tiny pinned pool refuses; cache keeps the tensor.
   node_.pinned_pool().resize(u::mib(1));
-  core::CpuOffloader cpu_offloader(node_, factory_, {});
-  core::TensorCache cache(node_.simulator(), cpu_offloader, {});
+  core::OffloaderConfig host;
+  host.target = core::OffloadTarget::host_pinned;
+  core::Offloader host_offloader(node_, factory_, host);
+  core::TensorCache cache(node_.simulator(), host_offloader, {});
   auto x = activation("x");
   const auto packed = cache.hooks().pack(x);
   EXPECT_EQ(cache.entry_state(std::get<t::TensorId>(packed)),

@@ -506,12 +506,12 @@ class FaultOffloaderTest : public ::testing::Test {
 };
 
 TEST_F(FaultOffloaderTest, ExhaustedRetriesKeepCountersAndLoseData) {
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({always_fail()});
   cfg.fault.max_attempts = 4;
   cfg.fault.initial_backoff = u::us(50);
   cfg.fault.backoff_multiplier = 2.0;
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off(node_, factory_, cfg);
   settle();
 
   auto x = make_tensor("x");
@@ -547,10 +547,10 @@ TEST_F(FaultOffloaderTest, ExhaustedRetriesKeepCountersAndLoseData) {
 TEST_F(FaultOffloaderTest, TransientErrorRetriesThenSucceeds) {
   f::FaultSpec errors = always_fail();
   errors.duration = 1e-4;  // window closes before the first retry lands
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({errors});
   cfg.fault.initial_backoff = u::ms(1);
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off(node_, factory_, cfg);
 
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
@@ -574,10 +574,10 @@ TEST_F(FaultOffloaderTest, TransientErrorRetriesThenSucceeds) {
 }
 
 TEST_F(FaultOffloaderTest, RetriesChargeWriteAmplification) {
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({always_fail()});
   cfg.fault.max_attempts = 4;
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off(node_, factory_, cfg);
   settle();
 
   const u::Bytes before = node_.array(0).host_bytes_written();
@@ -595,9 +595,9 @@ TEST_F(FaultOffloaderTest, LatencyWindowShiftsCompletionBySpecLatency) {
   f::FaultSpec spike;
   spike.kind = f::FaultKind::ssd_latency;
   spike.latency = u::us(200);
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({spike});
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off(node_, factory_, cfg);
   settle();
 
   auto x = make_tensor("x");
@@ -610,7 +610,7 @@ TEST_F(FaultOffloaderTest, LatencyWindowShiftsCompletionBySpecLatency) {
   // Reference: the identical store on an identical clean machine.
   hw::TrainingNode clean(hw::catalog::single_gpu_node(2));
   t::TensorFactory clean_factory(*clean.gpu(0).allocator);
-  core::SsdOffloader clean_off(clean, clean_factory, {});
+  core::Offloader clean_off(clean, clean_factory, {});
   auto y = clean_factory.cuda("x", {u::mib(64) / 2}, t::DType::fp16,
                               hw::MemoryTag::activation);
   auto clean_done = clean_off.store(ids_.get_id(y), y, nullptr);
@@ -624,11 +624,11 @@ TEST_F(FaultOffloaderTest, AttemptTimeoutRetriesUnderInjectedLatency) {
   spike.kind = f::FaultKind::ssd_latency;
   spike.latency = u::ms(2);
   spike.duration = 1e-3;  // the spike is over before the first retry
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.fault.injector = &make_injector({spike});
   cfg.fault.attempt_timeout = u::ms(1);
   cfg.fault.initial_backoff = u::ms(2);
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off(node_, factory_, cfg);
 
   auto x = make_tensor("x");
   std::optional<sim::CompletionPtr> done;
@@ -642,11 +642,12 @@ TEST_F(FaultOffloaderTest, AttemptTimeoutRetriesUnderInjectedLatency) {
   EXPECT_EQ(off.stats().store_faults, 0u);
 }
 
-TEST_F(FaultOffloaderTest, CpuOffloaderRetriesAndFallsBackToo) {
-  core::CpuOffloaderConfig cfg;
+TEST_F(FaultOffloaderTest, HostTargetRetriesAndFallsBackToo) {
+  core::OffloaderConfig cfg;
+  cfg.target = core::OffloadTarget::host_pinned;
   cfg.fault.injector = &make_injector({always_fail()});
   cfg.fault.max_attempts = 2;
-  core::CpuOffloader off(node_, factory_, cfg);
+  core::Offloader off(node_, factory_, cfg);
   settle();
 
   auto x = make_tensor("x");
@@ -665,6 +666,44 @@ TEST_F(FaultOffloaderTest, CpuOffloaderRetriesAndFallsBackToo) {
   EXPECT_TRUE(ticket.done->done());
   EXPECT_EQ(off.stats().recompute_fallbacks, 1u);
   off.release(id);
+}
+
+TEST_F(FaultOffloaderTest, HostTargetIgnoresSsdLatencyWindows) {
+  // ssd-latency windows model NVMe-side stalls: a host-target store pays
+  // none of the injected latency, so an attempt deadline shorter than the
+  // spike never trips either.
+  f::FaultSpec spike;
+  spike.kind = f::FaultKind::ssd_latency;
+  spike.latency = u::ms(2);
+  core::OffloaderConfig cfg;
+  cfg.target = core::OffloadTarget::host_pinned;
+  cfg.fault.injector = &make_injector({spike});
+  cfg.fault.attempt_timeout = u::ms(1);
+  node_.pinned_pool().resize(u::gib(1));
+  core::Offloader off(node_, factory_, cfg);
+  settle();
+
+  auto x = make_tensor("x");
+  auto done = off.store(ids_.get_id(x), x, nullptr);
+  ASSERT_TRUE(done.has_value());
+  node_.simulator().run();
+  EXPECT_TRUE((*done)->done());
+  EXPECT_EQ(off.stats().fault_extra_latency, 0.0);
+  EXPECT_EQ(off.stats().io_failures, 0u);
+
+  // Reference: the identical store on an identical clean machine.
+  hw::TrainingNode clean(hw::catalog::single_gpu_node(2));
+  t::TensorFactory clean_factory(*clean.gpu(0).allocator);
+  clean.pinned_pool().resize(u::gib(1));
+  core::OffloaderConfig clean_cfg;
+  clean_cfg.target = core::OffloadTarget::host_pinned;
+  core::Offloader clean_off(clean, clean_factory, clean_cfg);
+  auto y = clean_factory.cuda("x", {u::mib(64) / 2}, t::DType::fp16,
+                              hw::MemoryTag::activation);
+  auto clean_done = clean_off.store(ids_.get_id(y), y, nullptr);
+  ASSERT_TRUE(clean_done.has_value());
+  clean.simulator().run();
+  EXPECT_EQ((*done)->completion_time(), (*clean_done)->completion_time());
 }
 
 // ---------------------------------------------------------------------------
@@ -895,6 +934,68 @@ TEST(FaultRecovery, PostDropoutStateMatchesFreshDegradedSession) {
   EXPECT_NEAR(a_steady.compute_busy, b_steady.compute_busy,
               1e-12 * b_steady.compute_busy);
   EXPECT_EQ(a_steady.offloaded_bytes, b_steady.offloaded_bytes);
+}
+
+// Frozen host-target outputs (captured before the SSD and pinned-host
+// offloaders were merged into one engine): no bench or golden CSV runs
+// Strategy::ssdtrain_cpu, so these pin it to the bit, floats as hexfloat,
+// once clean and once under a seeded transient-error mix that drives
+// retries, keep-on-GPU after failed stores and a recompute fallback.
+TEST(FrozenHostTarget, SsdtrainCpuStepsAreBitIdentical) {
+  struct Golden {
+    double step_time, drain_time;
+    u::Bytes activation_peak, offloaded_bytes, loaded_bytes;
+    std::uint64_t io_retries;
+    double fault_stall_time;
+    std::uint64_t recompute_fallbacks, events_executed;
+    u::Bytes pinned_peak;
+  };
+  const Golden clean[kSteps] = {
+      {0x1.602adb8eb3615p-4, 0x0p+0, 155320320, 146800640, 138412032, 0,
+       0x0p+0, 0, 179, 146800640},
+      {0x1.602adb8eb3617p-4, 0x0p+0, 155320320, 146800640, 276824064, 0,
+       0x0p+0, 0, 358, 146800640},
+      {0x1.602adb8eb3618p-4, 0x0p+0, 155320320, 146800640, 415236096, 0,
+       0x0p+0, 0, 537, 146800640},
+  };
+  const Golden faulty[kSteps] = {
+      {0x1.602adb8eb3615p-4, 0x0p+0, 163725312, 146800640, 121634816, 25,
+       0x1.205bc01a36e2fp-9, 0, 197, 138412032},
+      {0x1.602adb8eb3617p-4, 0x0p+0, 172113920, 146800640, 247463936, 35,
+       0x1.8ae1356589f28p-9, 1, 407, 138412032},
+      {0x1.602adb8eb3618p-4, 0x0p+0, 159514624, 146800640, 381681664, 21,
+       0x1.bda5119ce0754p-10, 0, 600, 142606336},
+  };
+  for (const bool with_faults : {false, true}) {
+    auto config = small_config(m::bert_config(2048, 2, 2),
+                               rt::Strategy::ssdtrain_cpu);
+    if (with_faults) {
+      f::FaultSpec errors;
+      errors.kind = f::FaultKind::io_error;
+      errors.rate = 0.5;
+      config.faults.specs = {errors};
+      config.faults.seed = 23;
+    }
+    rt::TrainingSession session(std::move(config));
+    const Golden* goldens = with_faults ? faulty : clean;
+    for (int step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE(std::string(with_faults ? "io-error" : "clean") +
+                   " step " + std::to_string(step));
+      const auto s = session.run_step();
+      const Golden& g = goldens[step];
+      EXPECT_EQ(s.step_time, g.step_time);
+      EXPECT_EQ(s.drain_time, g.drain_time);
+      EXPECT_EQ(s.activation_peak, g.activation_peak);
+      EXPECT_EQ(s.offloaded_bytes, g.offloaded_bytes);
+      EXPECT_EQ(s.loaded_bytes, g.loaded_bytes);
+      EXPECT_EQ(s.io_retries, g.io_retries);
+      EXPECT_EQ(s.fault_stall_time, g.fault_stall_time);
+      EXPECT_EQ(s.recompute_fallbacks, g.recompute_fallbacks);
+      EXPECT_EQ(session.node().simulator().events_executed(),
+                g.events_executed);
+      EXPECT_EQ(session.node().pinned_pool().peak_used(), g.pinned_peak);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

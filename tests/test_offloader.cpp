@@ -1,6 +1,6 @@
-// Tests for the SSD and CPU offloaders: transfer timing over the simulated
-// fabric, producer-gated stores, deferred releases, FIFO pools, the GDS vs
-// bounce-buffer paths, and the CUDA malloc hook library.
+// Tests for the offloader's SSD and pinned-host targets: transfer timing
+// over the simulated fabric, producer-gated stores, deferred releases, FIFO
+// pools, the GDS vs bounce-buffer paths, and the CUDA malloc hook library.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +33,12 @@ class OffloaderTest : public ::testing::Test {
 
   t::TensorId next_id() { return ids_.get_id(last_); }
 
+  static core::OffloaderConfig host_target() {
+    core::OffloaderConfig cfg;
+    cfg.target = core::OffloadTarget::host_pinned;
+    return cfg;
+  }
+
   hw::TrainingNode node_;
   t::TensorFactory factory_;
   t::IdAssigner ids_;
@@ -42,7 +48,7 @@ class OffloaderTest : public ::testing::Test {
 }  // namespace
 
 TEST_F(OffloaderTest, StoreCompletesAtArrayBandwidth) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, {});
   auto x = make_tensor("x", 1220);  // ~1.28 GB
   const auto id = ids_.get_id(x);
   auto done = off.store(id, x, nullptr);
@@ -56,7 +62,7 @@ TEST_F(OffloaderTest, StoreCompletesAtArrayBandwidth) {
 }
 
 TEST_F(OffloaderTest, StoreWaitsForProducerKernel) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, {});
   auto& s = node_.simulator();
   auto x = make_tensor("x");
   auto ready = sim::Completion::create(s, "producer");
@@ -70,7 +76,7 @@ TEST_F(OffloaderTest, StoreWaitsForProducerKernel) {
 }
 
 TEST_F(OffloaderTest, StorePinsMemoryUntilTransferDone) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, {});
   auto& alloc = *node_.gpu(0).allocator;
   const auto id = [&] {
     auto x = make_tensor("x");
@@ -86,7 +92,7 @@ TEST_F(OffloaderTest, StorePinsMemoryUntilTransferDone) {
 }
 
 TEST_F(OffloaderTest, LoadReturnsGatedTensor) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, {});
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   off.store(id, x, nullptr);
@@ -102,7 +108,7 @@ TEST_F(OffloaderTest, LoadReturnsGatedTensor) {
 }
 
 TEST_F(OffloaderTest, ReleaseTrimsExtent) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, {});
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   off.store(id, x, nullptr);
@@ -114,7 +120,7 @@ TEST_F(OffloaderTest, ReleaseTrimsExtent) {
 }
 
 TEST_F(OffloaderTest, ReleaseDuringStoreIsDeferred) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, {});
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   off.store(id, x, nullptr);
@@ -126,7 +132,7 @@ TEST_F(OffloaderTest, ReleaseDuringStoreIsDeferred) {
 }
 
 TEST_F(OffloaderTest, SequentialTensorWritesKeepWafNearOne) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, {});
   for (int step = 0; step < 20; ++step) {
     auto x = make_tensor("x", 512);
     const auto id = ids_.get_id(x);
@@ -138,7 +144,7 @@ TEST_F(OffloaderTest, SequentialTensorWritesKeepWafNearOne) {
 }
 
 TEST_F(OffloaderTest, DuplicateStoreRejected) {
-  core::SsdOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, {});
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   off.store(id, x, nullptr);
@@ -146,13 +152,13 @@ TEST_F(OffloaderTest, DuplicateStoreRejected) {
 }
 
 TEST_F(OffloaderTest, BouncePathSlowerThanGds) {
-  core::SsdOffloaderConfig gds_cfg, bounce_cfg;
-  bounce_cfg.use_gds = false;
+  core::OffloaderConfig gds_cfg, bounce_cfg;
+  bounce_cfg.target = core::OffloadTarget::ssd_bounce;
   double t_gds = 0.0, t_bounce = 0.0;
   {
     hw::TrainingNode node(hw::catalog::single_gpu_node(4));
     t::TensorFactory factory(*node.gpu(0).allocator);
-    core::SsdOffloader off(node, factory, gds_cfg);
+    core::Offloader off(node, factory, gds_cfg);
     t::IdAssigner ids;
     auto x = factory.cuda("x", {u::gib(2) / 2}, t::DType::fp16,
                           hw::MemoryTag::activation);
@@ -163,7 +169,7 @@ TEST_F(OffloaderTest, BouncePathSlowerThanGds) {
   {
     hw::TrainingNode node(hw::catalog::single_gpu_node(4));
     t::TensorFactory factory(*node.gpu(0).allocator);
-    core::SsdOffloader off(node, factory, bounce_cfg);
+    core::Offloader off(node, factory, bounce_cfg);
     t::IdAssigner ids;
     auto x = factory.cuda("x", {u::gib(2) / 2}, t::DType::fp16,
                           hw::MemoryTag::activation);
@@ -172,14 +178,14 @@ TEST_F(OffloaderTest, BouncePathSlowerThanGds) {
     t_bounce = (*done)->completion_time();
   }
   EXPECT_GE(t_bounce, t_gds);
-  EXPECT_NE(core::SsdOffloader(node_, factory_, bounce_cfg).target_name(),
-            core::SsdOffloader(node_, factory_, gds_cfg).target_name());
+  EXPECT_NE(core::Offloader(node_, factory_, bounce_cfg).target_name(),
+            core::Offloader(node_, factory_, gds_cfg).target_name());
 }
 
 TEST_F(OffloaderTest, FifoPoolSerialisesStoresPerWorker) {
-  core::SsdOffloaderConfig cfg;
+  core::OffloaderConfig cfg;
   cfg.store_workers = 1;
-  core::SsdOffloader off(node_, factory_, cfg);
+  core::Offloader off(node_, factory_, cfg);
   auto a = make_tensor("a", 512);
   auto b = make_tensor("b", 512);
   auto da = off.store(ids_.get_id(a), a, nullptr);
@@ -190,9 +196,9 @@ TEST_F(OffloaderTest, FifoPoolSerialisesStoresPerWorker) {
             2.0 * (*da)->completion_time() * 0.99);
 }
 
-TEST_F(OffloaderTest, CpuOffloaderUsesPinnedPool) {
+TEST_F(OffloaderTest, HostTargetUsesPinnedPool) {
   node_.pinned_pool().resize(u::gib(2));
-  core::CpuOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, host_target());
   auto x = make_tensor("x");
   const auto id = ids_.get_id(x);
   auto done = off.store(id, x, nullptr);
@@ -206,9 +212,9 @@ TEST_F(OffloaderTest, CpuOffloaderUsesPinnedPool) {
   EXPECT_EQ(node_.pinned_pool().used(), 0);
 }
 
-TEST_F(OffloaderTest, CpuOffloaderRefusesWhenPoolExhausted) {
+TEST_F(OffloaderTest, HostTargetRefusesWhenPoolExhausted) {
   node_.pinned_pool().resize(u::mib(64));
-  core::CpuOffloader off(node_, factory_, {});
+  core::Offloader off(node_, factory_, host_target());
   auto x = make_tensor("x", 256);  // larger than the pool
   const auto id = ids_.get_id(x);
   auto done = off.store(id, x, nullptr);
@@ -233,8 +239,8 @@ TEST(MallocHook, PreRegistrationCutsSetupLatency) {
   hw::DeviceAllocator alloc(u::gib(1));
   core::CudaMallocHookLibrary installed;
   installed.install(alloc);
-  EXPECT_LT(installed.transfer_setup_latency(u::mib(256)),
-            uninstalled.transfer_setup_latency(u::mib(256)) / 10.0);
+  EXPECT_LT(installed.transfer_setup_latency(),
+            uninstalled.transfer_setup_latency() / 10.0);
 }
 
 TEST(MallocHook, DoubleInstallRejected) {
