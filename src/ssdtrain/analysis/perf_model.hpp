@@ -17,8 +17,8 @@
 namespace ssdtrain::analysis {
 
 struct Fabrics {
-  parallel::FabricSpec tp_fabric{util::gbps(300), util::us(5)};   // NVLink
-  parallel::FabricSpec dp_fabric{util::gbps(25), util::us(10)};   // IB/node
+  parallel::FabricSpec tp_fabric = parallel::kNvlink;
+  parallel::FabricSpec dp_fabric{util::gbps(25), util::us(10)};  // IB/node
 };
 
 struct StepEstimate {

@@ -51,7 +51,40 @@ struct OffloaderStats {
   util::Seconds retry_backoff_time = 0.0;
   util::Seconds fault_extra_latency = 0.0;  ///< injected ssd-latency paid
   util::Seconds recompute_fallback_time = 0.0;
+
+  /// Field-wise sums (cluster totals) and differences (per-step deltas).
+  OffloaderStats& operator+=(const OffloaderStats& o) {
+    zip(*this, o, [](auto& a, auto b) { a += b; });
+    return *this;
+  }
+  friend OffloaderStats operator-(OffloaderStats a, const OffloaderStats& b) {
+    zip(a, b, [](auto& x, auto y) { x -= y; });
+    return a;
+  }
+
+ private:
+  /// The one field list the arithmetic walks.
+  template <typename F>
+  static void zip(OffloaderStats& a, const OffloaderStats& b, F f) {
+    f(a.stores, b.stores);
+    f(a.loads, b.loads);
+    f(a.bytes_stored, b.bytes_stored);
+    f(a.bytes_loaded, b.bytes_loaded);
+    f(a.releases, b.releases);
+    f(a.failed_stores, b.failed_stores);
+    f(a.io_retries, b.io_retries);
+    f(a.io_failures, b.io_failures);
+    f(a.store_faults, b.store_faults);
+    f(a.load_faults, b.load_faults);
+    f(a.recompute_fallbacks, b.recompute_fallbacks);
+    f(a.retry_backoff_time, b.retry_backoff_time);
+    f(a.fault_extra_latency, b.fault_extra_latency);
+    f(a.recompute_fallback_time, b.recompute_fallback_time);
+  }
 };
+// A new field changes the size: list it in zip(), then bump the count.
+static_assert(sizeof(OffloaderStats) == 14 * 8,
+              "OffloaderStats gained a field: add it to OffloaderStats::zip");
 
 /// Retry/timeout/backoff policy for offload I/O, driven by the fault
 /// injector. With `injector == nullptr` (the default) every guard in the

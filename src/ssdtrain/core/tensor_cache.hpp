@@ -88,7 +88,34 @@ struct TensorCacheStats {
   std::uint64_t releases = 0;
   util::Bytes offloaded_bytes = 0;
   util::Bytes kept_bytes = 0;
+
+  /// Field-wise sum (cluster totals).
+  TensorCacheStats& operator+=(const TensorCacheStats& o) {
+    packs += o.packs;
+    unpacks += o.unpacks;
+    passthrough_weight += o.passthrough_weight;
+    passthrough_cpu += o.passthrough_cpu;
+    passthrough_small += o.passthrough_small;
+    dedup_hits += o.dedup_hits;
+    offload_started += o.offload_started;
+    kept_budget += o.kept_budget;
+    kept_backward += o.kept_backward;
+    kept_scope += o.kept_scope;
+    kept_offloader_refused += o.kept_offloader_refused;
+    kept_store_failed += o.kept_store_failed;
+    forwards += o.forwards;
+    prefetch_loads += o.prefetch_loads;
+    miss_loads += o.miss_loads;
+    wasted_stores += o.wasted_stores;
+    releases += o.releases;
+    offloaded_bytes += o.offloaded_bytes;
+    kept_bytes += o.kept_bytes;
+    return *this;
+  }
 };
+// A new field changes the size: add it to operator+=, then bump the count.
+static_assert(sizeof(TensorCacheStats) == 19 * 8,
+              "TensorCacheStats gained a field: add it to operator+=");
 
 class TensorCache {
  public:

@@ -16,6 +16,10 @@ struct FabricSpec {
   util::Seconds per_hop_latency = util::us(5);
 };
 
+/// The intra-node NVLink fabric TP collectives cross: the executor's
+/// closed-form and flow-path all-reduces and the analytic model share it.
+inline constexpr FabricSpec kNvlink{util::gbps(300), util::us(5)};
+
 /// Bytes crossing each rank's link for an all-reduce of \p bytes.
 double all_reduce_traffic(util::Bytes bytes, int ranks);
 double all_gather_traffic(util::Bytes bytes, int ranks);

@@ -52,75 +52,7 @@ struct ClusterSession::GpuLane {
   util::Seconds busy_at_end = 0.0;
 };
 
-/// Brackets simulator stepping across every stage's active recorder: any
-/// executor advancing shared simulated time can run closures that free
-/// another stage's tensors, and those deaths must be observed in the
-/// recorders' asynchronous mode (see StepRecorder::enter_sim).
-class ClusterSession::ClusterSimGuard final : public SimGuard {
- public:
-  explicit ClusterSimGuard(ClusterSession& session) : session_(session) {}
-
-  void enter() override {
-    for (auto& ctx : session_.contexts_) {
-      if (auto* recorder = ctx.executor->active_recorder()) {
-        recorder->enter_sim();
-      }
-    }
-  }
-
-  void exit() override {
-    for (auto& ctx : session_.contexts_) {
-      if (auto* recorder = ctx.executor->active_recorder()) {
-        recorder->exit_sim();
-      }
-    }
-  }
-
- private:
-  ClusterSession& session_;
-};
-
 namespace {
-
-void accumulate(core::TensorCacheStats& into,
-                const core::TensorCacheStats& from) {
-  into.packs += from.packs;
-  into.unpacks += from.unpacks;
-  into.passthrough_weight += from.passthrough_weight;
-  into.passthrough_cpu += from.passthrough_cpu;
-  into.passthrough_small += from.passthrough_small;
-  into.dedup_hits += from.dedup_hits;
-  into.offload_started += from.offload_started;
-  into.kept_budget += from.kept_budget;
-  into.kept_backward += from.kept_backward;
-  into.kept_scope += from.kept_scope;
-  into.kept_offloader_refused += from.kept_offloader_refused;
-  into.kept_store_failed += from.kept_store_failed;
-  into.forwards += from.forwards;
-  into.prefetch_loads += from.prefetch_loads;
-  into.miss_loads += from.miss_loads;
-  into.wasted_stores += from.wasted_stores;
-  into.releases += from.releases;
-  into.offloaded_bytes += from.offloaded_bytes;
-  into.kept_bytes += from.kept_bytes;
-}
-
-void accumulate(core::OffloaderStats& into, const core::OffloaderStats& from) {
-  into.stores += from.stores;
-  into.loads += from.loads;
-  into.bytes_stored += from.bytes_stored;
-  into.bytes_loaded += from.bytes_loaded;
-  into.releases += from.releases;
-  into.failed_stores += from.failed_stores;
-  into.io_retries += from.io_retries;
-  into.io_failures += from.io_failures;
-  into.store_faults += from.store_faults;
-  into.load_faults += from.load_faults;
-  into.recompute_fallbacks += from.recompute_fallbacks;
-  into.retry_backoff_time += from.retry_backoff_time;
-  into.fault_extra_latency += from.fault_extra_latency;
-  into.recompute_fallback_time += from.recompute_fallback_time;
-}
 
 /// Cluster-level aggregate. Byte/FLOP counters are per-context and sum;
 /// allocator peaks, stream busy time, live weights, and SSD counters are
@@ -143,8 +75,8 @@ StepStats merge_cluster_stats(const std::vector<StageStepStats>& stages,
     out.io_failures += st.io_failures;
     out.recompute_fallbacks += st.recompute_fallbacks;
     out.fault_stall_time += st.fault_stall_time;
-    accumulate(out.cache, st.cache);
-    accumulate(out.offloader_totals, st.offloader_totals);
+    out.cache += st.cache;
+    out.offloader_totals += st.offloader_totals;
     if (stage.chunk == 0) {
       out.activation_peak = std::max(out.activation_peak, st.activation_peak);
       out.total_peak = std::max(out.total_peak, st.total_peak);
@@ -190,7 +122,6 @@ ClusterSession::ClusterSession(ClusterConfig config)
   util::expects(node_cfg.gpu_count >= pp,
                 "node needs one GPU per pipeline stage");
   node_ = std::make_unique<hw::TrainingNode>(node_cfg);
-  guard_ = std::make_unique<ClusterSimGuard>(*this);
   if (config_.faults.enabled()) {
     injector_ = std::make_unique<fault::FaultInjector>(node_->simulator(),
                                                        config_.faults);
@@ -298,7 +229,6 @@ void ClusterSession::build_stage(int virtual_stage) {
   }
   ctx.executor = std::make_unique<Executor>(*node_, config_.parallel,
                                             exec_options);
-  ctx.executor->set_sim_guard(guard_.get());
 
   const int dp = config_.parallel.data_parallel;
   switch (config_.parallel.zero) {
@@ -711,14 +641,12 @@ ClusterStepStats ClusterSession::run_step() {
   for (auto& ctx : contexts_) {
     ctx.step_end = ctx.executor->record_step_end();
   }
-  guard_->enter();
   for (auto& ctx : contexts_) {
     while (!ctx.step_end->done()) {
       util::check(sim.step(), "simulation stalled before cluster step end");
     }
   }
   sim.run();
-  guard_->exit();
 
   ClusterStepStats out;
   out.ideal_bubble = ideal_bubble_;

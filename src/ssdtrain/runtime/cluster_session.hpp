@@ -130,7 +130,6 @@ class ClusterSession {
  private:
   struct StageContext;  ///< one (gpu, chunk) model slice and its runtime
   struct GpuLane;       ///< one GPU's expanded command stream
-  class ClusterSimGuard;
 
   void build_stage(int virtual_stage);
   /// Range-checked context of one virtual stage.
@@ -154,7 +153,6 @@ class ClusterSession {
 
   ClusterConfig config_;
   std::unique_ptr<hw::TrainingNode> node_;
-  std::unique_ptr<SimGuard> guard_;
   std::vector<StageContext> contexts_;  ///< indexed by virtual stage
   std::vector<GpuLane> lanes_;          ///< indexed by GPU / pipeline stage
   /// Boundary tensors each virtual stage consumes per forward micro-batch.

@@ -148,7 +148,7 @@ void Executor::tp_all_reduce(util::Bytes bytes) {
         parallel::all_reduce_traffic(bytes, parallel_.tensor_parallel));
     const util::Seconds latency = 2.0 *
                                   (parallel_.tensor_parallel - 1) *
-                                  options_.tp_fabric.per_hop_latency;
+                                  parallel::kNvlink.per_hop_latency;
     if (recorder_ != nullptr) recorder_->on_comm(kLabel, traffic, latency);
     auto done = launch_comm_flow(kLabel, traffic, latency);
     auto& stream = *node_.gpu(options_.gpu_index).compute_stream;
@@ -158,7 +158,7 @@ void Executor::tp_all_reduce(util::Bytes bytes) {
     return;
   }
   const util::Seconds duration = parallel::all_reduce_time(
-      bytes, parallel_.tensor_parallel, options_.tp_fabric);
+      bytes, parallel_.tensor_parallel, parallel::kNvlink);
   if (recorder_ != nullptr) {
     recorder_->on_kernel("tp_all_reduce", duration, 0.0,
                          recompute_depth_ == 0, {});
@@ -231,31 +231,13 @@ void Executor::bind_pending_ready(const sim::CompletionPtr& producer) {
   pending_ready_.clear();
 }
 
-void Executor::enter_sim_section() {
-  if (sim_guard_ != nullptr) {
-    sim_guard_->enter();
-  } else if (recorder_ != nullptr) {
-    recorder_->enter_sim();
-  }
-}
-
-void Executor::exit_sim_section() {
-  if (sim_guard_ != nullptr) {
-    sim_guard_->exit();
-  } else if (recorder_ != nullptr) {
-    recorder_->exit_sim();
-  }
-}
-
 void Executor::pace() {
   auto& stream = *node_.gpu(options_.gpu_index).compute_stream;
   auto& sim = node_.simulator();
-  enter_sim_section();
   while (stream.queued() >
          static_cast<std::size_t>(options_.max_launch_ahead)) {
     if (!sim.step()) break;
   }
-  exit_sim_section();
 }
 
 void Executor::run_optimizer(modules::Model& model) {
@@ -361,13 +343,11 @@ StepStats Executor::finish_step(const StepBaseline& base,
 
   // Step time: until the compute stream (incl. optimizer) finishes.
   auto step_end_marker = record_step_end();
-  enter_sim_section();
   while (!step_end_marker->done()) {
     util::check(sim.step(), "simulation stalled before step end");
   }
   // Drain any trailing I/O (should be negligible when overlap is perfect).
   sim.run();
-  exit_sim_section();
 
   return collect_step(base, pre_opt_marker, step_end_marker);
 }
@@ -465,7 +445,8 @@ void Executor::start_recording(StepProgram& program,
   program = StepProgram{};
   program.schedule = schedule;
   recorder_ = std::make_unique<StepRecorder>(
-      program, *node_.gpu(options_.gpu_index).allocator, cache_ != nullptr);
+      program, *node_.gpu(options_.gpu_index).allocator, node_.simulator(),
+      cache_ != nullptr);
   if (cache_ != nullptr) cache_->set_trace_recorder(recorder_.get());
 }
 

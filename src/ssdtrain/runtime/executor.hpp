@@ -55,26 +55,12 @@ struct ExecutorOptions {
   /// once).
   int max_launch_ahead = 12;
   bool recompute = false;  ///< layerwise full recomputation strategy
-  parallel::FabricSpec tp_fabric{util::gbps(300), util::us(5)};
   /// Fabric resources TP all-reduces traverse. Empty (the default) keeps
   /// the closed-form all_reduce_time on the compute stream — the validated
   /// single-GPU model. Non-empty switches TP collectives to flows on the
   /// shared BandwidthNetwork (ring traffic 2(n-1)/n·S over this path), so
   /// they contend with offload traffic and peer stages like real NVLink.
   std::vector<sim::BandwidthNetwork::ResourceId> tp_flow_path;
-};
-
-/// Bracket around simulator stepping. When several executors (and their
-/// recorders) share one simulator, any of them advancing simulated time can
-/// run event closures that touch the others' allocators; the owner (the
-/// cluster session) installs one guard that puts *every* active recorder in
-/// its asynchronous-death mode for the duration. Without a guard the
-/// executor brackets only its own recorder.
-class SimGuard {
- public:
-  virtual ~SimGuard() = default;
-  virtual void enter() = 0;
-  virtual void exit() = 0;
 };
 
 class Executor final : public modules::ExecutionContext {
@@ -176,16 +162,6 @@ class Executor final : public modules::ExecutionContext {
   /// weights_live match bit for bit.
   void materialize_weights(const StepProgram& program);
 
-  /// Multi-executor simulator bracket; nullptr restores the single-executor
-  /// behaviour (bracketing only this executor's own recorder).
-  void set_sim_guard(SimGuard* guard) { sim_guard_ = guard; }
-
-  /// The recorder currently compiling this executor's trace (null outside
-  /// a recording) — a SimGuard owner brackets every active one.
-  [[nodiscard]] StepRecorder* active_recorder() const {
-    return recorder_.get();
-  }
-
   /// Queues the ready event the next make_stage_input tensor observes —
   /// the recv flow completion of an upstream stage's send. FIFO: models
   /// create their boundary inputs in a deterministic order.
@@ -240,8 +216,6 @@ class Executor final : public modules::ExecutionContext {
   /// the list. The one binder of the trace and replay paths.
   void bind_pending_ready(const sim::CompletionPtr& producer);
   void pace();  ///< bounded launch-ahead: advance sim while queue too deep
-  void enter_sim_section();
-  void exit_sim_section();
   void run_optimizer(modules::Model& model);
   /// Launches \p traffic bytes over \p path when the compute stream reaches
   /// this point (stream-ordered collectives); the returned completion fires
@@ -258,7 +232,6 @@ class Executor final : public modules::ExecutionContext {
   graph::Graph graph_;
   core::TensorCache* cache_ = nullptr;
   std::unique_ptr<StepRecorder> recorder_;  ///< non-null while recording
-  SimGuard* sim_guard_ = nullptr;
   std::vector<const graph::SavedTensorHooks*> hook_stack_;
   std::map<std::string, tensor::Tensor> weights_;
   std::vector<std::string> weight_order_;  ///< keys in creation order

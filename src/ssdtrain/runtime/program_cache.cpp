@@ -193,8 +193,6 @@ void append_knobs(KeyText& key, const TrainingConfig& config) {
   key.field("forwarding", config.forwarding);
   key.field("lookahead", config.prefetch_lookahead);
   key.field("malloc_hook", config.install_malloc_hook);
-  key.field("store_workers", config.store_workers);
-  key.field("load_workers", config.load_workers);
   key.field("budget", config.budget_override.has_value()
                           ? std::to_string(*config.budget_override)
                           : std::string("auto"));

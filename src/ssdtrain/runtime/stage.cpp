@@ -56,11 +56,11 @@ Stage::Stage(const TrainingConfig& config, hw::TrainingNode& node, int gpu,
       program_cache_(config.use_replay ? config.program_cache : nullptr) {
   if (!offloads(config.strategy)) return;
 
-  core::OffloadFaultPolicy fault = config.fault_policy;
-  fault.injector = injector;
-  core::OffloaderConfig offloader_cfg{core::OffloadTarget::host_pinned, gpu,
-                                     config.store_workers,
-                                     config.load_workers, fault};
+  core::OffloaderConfig offloader_cfg{
+      .target = core::OffloadTarget::host_pinned,
+      .gpu_index = gpu,
+      .fault = config.fault_policy};
+  offloader_cfg.fault.injector = injector;
   util::BytesPerSecond target_bw = 0.0;
   if (offloads_to_ssd(config.strategy)) {
     util::expects(node.has_array(gpu),
@@ -163,16 +163,13 @@ void Stage::take_offloader_deltas(StepStats& stats) {
   if (offloader_ == nullptr) return;
   stats.offloader_totals = offloader_->stats();
   stats.loaded_bytes = stats.offloader_totals.bytes_loaded;
-  const core::OffloaderStats& t = stats.offloader_totals;
-  const core::OffloaderStats& last = last_offloader_;
-  stats.io_retries = t.io_retries - last.io_retries;
-  stats.io_failures = t.io_failures - last.io_failures;
-  stats.recompute_fallbacks = t.recompute_fallbacks - last.recompute_fallbacks;
-  stats.fault_stall_time =
-      (t.retry_backoff_time - last.retry_backoff_time) +
-      (t.fault_extra_latency - last.fault_extra_latency) +
-      (t.recompute_fallback_time - last.recompute_fallback_time);
-  last_offloader_ = t;
+  const core::OffloaderStats d = stats.offloader_totals - last_offloader_;
+  stats.io_retries = d.io_retries;
+  stats.io_failures = d.io_failures;
+  stats.recompute_fallbacks = d.recompute_fallbacks;
+  stats.fault_stall_time = d.retry_backoff_time + d.fault_extra_latency +
+                           d.recompute_fallback_time;
+  last_offloader_ = stats.offloader_totals;
 }
 
 }  // namespace ssdtrain::runtime

@@ -94,8 +94,6 @@ struct TrainingConfig {
   bool forwarding = true;
   int prefetch_lookahead = 1;
   bool install_malloc_hook = true;
-  int store_workers = 2;
-  int load_workers = 2;
   /// Overrides the planner's offload budget when set.
   std::optional<util::Bytes> budget_override;
 

@@ -12,8 +12,9 @@ using tensor::Tensor;
 using tensor::TensorId;
 
 StepRecorder::StepRecorder(StepProgram& program,
-                           hw::DeviceAllocator& allocator, bool uses_cache)
-    : program_(program), allocator_(allocator) {
+                           hw::DeviceAllocator& allocator,
+                           const sim::Simulator& sim, bool uses_cache)
+    : program_(program), allocator_(allocator), sim_(sim) {
   program_.uses_cache = uses_cache;
   program_.replayable = true;  // until proven otherwise
   allocator_.set_trace_observer(
@@ -89,18 +90,19 @@ void StepRecorder::on_allocator_event(std::uint64_t id, bool is_free) {
   if (!is_free) return;  // slot registration happens at tensor creation
   auto it = slots_of_allocation_.find(id);
   if (it == slots_of_allocation_.end()) return;  // weights, load staging, ...
-  if (sim_depth_ > 0) {
-    // Asynchronous death (a cache waiter or transfer closure dropped the
-    // last reference mid-simulation): the replay cache reproduces the event
-    // itself; the slot's own reference must simply be gone by then, so the
-    // drop op is inserted after the slot's last op-stream use in finalize().
+  if (sim_.in_event()) {
+    // Asynchronous death: a simulator event (a cache waiter or transfer
+    // closure) dropped the last reference. The replay cache reproduces the
+    // event itself; the slot's own reference must simply be gone by then,
+    // so the drop op is inserted after the slot's last op-stream use in
+    // finalize().
     for (std::uint32_t slot : it->second) {
       if (slots_[slot].alive) slots_[slot].drop_pending = true;
     }
   } else {
-    // Synchronous death between ops (the planner dropped the last handle,
-    // a graph node cleared its saved values, or a release drained the
-    // cache's reference): replay must free the storage at exactly this
+    // Synchronous death outside any event (the planner dropped the last
+    // handle, a graph node cleared its saved values, or a release drained
+    // the cache's reference): replay must free the storage at exactly this
     // position, so every live aliasing slot drops here.
     for (std::uint32_t slot : it->second) {
       if (!slots_[slot].alive) continue;

@@ -40,6 +40,7 @@
 #include "ssdtrain/core/tensor_cache.hpp"
 #include "ssdtrain/hw/device_allocator.hpp"
 #include "ssdtrain/sched/schedule.hpp"
+#include "ssdtrain/sim/simulator.hpp"
 #include "ssdtrain/tensor/shape.hpp"
 #include "ssdtrain/tensor/tensor.hpp"
 #include "ssdtrain/util/label.hpp"
@@ -128,10 +129,17 @@ struct StepProgram {
 /// prefetch/release decisions through the TraceRecorder interface, and the
 /// device allocator reports identified frees so every synchronous storage
 /// death lands as a drop_value op at its exact op-stream position.
+///
+/// A free is asynchronous exactly when it happens inside a simulator event
+/// (sim::Simulator::in_event): a store completion or transfer closure
+/// dropped the last reference, and replay re-runs that event itself. Every
+/// other free is a synchronous planner drop. The rule holds whoever drives
+/// the clock — an executor's pace, a session's drain, or a cluster driver
+/// stepping on behalf of several recorders.
 class StepRecorder final : public core::TensorCache::TraceRecorder {
  public:
   StepRecorder(StepProgram& program, hw::DeviceAllocator& allocator,
-               bool uses_cache);
+               const sim::Simulator& sim, bool uses_cache);
   ~StepRecorder() override;
   StepRecorder(const StepRecorder&) = delete;
   StepRecorder& operator=(const StepRecorder&) = delete;
@@ -149,13 +157,6 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
                  std::span<const tensor::Tensor> consumed);
   void on_plain_enqueue(util::Label label, util::Seconds duration);
   void on_pre_optimizer_marker();
-
-  /// Brackets simulator execution (pace / drain): storage deaths observed
-  /// inside are asynchronous (event-driven) and replay via the cache state
-  /// machine; deaths outside are synchronous planner drops and become
-  /// exact-position drop_value ops.
-  void enter_sim() { ++sim_depth_; }
-  void exit_sim() { --sim_depth_; }
 
   /// Seals the program: uninstalls the allocator observer, inserts the
   /// deferred drop ops for asynchronously-released storages after their
@@ -201,13 +202,16 @@ class StepRecorder final : public core::TensorCache::TraceRecorder {
   std::uint32_t intern_label(util::Label label);
   std::uint32_t intern_shape(const tensor::TensorShape& shape);
   StepProgram::Op& push(StepProgram::OpKind kind);
+  /// Classifies an identified free by sim_.in_event(): inside an event it
+  /// is asynchronous (drop deferred past the slot's last use), outside it
+  /// is synchronous (drop_value here).
   void on_allocator_event(std::uint64_t id, bool is_free);
   void invalidate(std::string reason);
 
   StepProgram& program_;
   hw::DeviceAllocator& allocator_;
+  const sim::Simulator& sim_;
   bool observer_installed_ = false;
-  int sim_depth_ = 0;
   bool finalized_ = false;
 
   std::vector<SlotInfo> slots_;

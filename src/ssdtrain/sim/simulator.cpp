@@ -25,6 +25,14 @@ TimePoint Simulator::run() {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
+  // Opened before the pop so it also spans the callback's destruction (a
+  // closure's captures die with it, and those frees are event-driven too),
+  // and closed on unwind, so a throwing event leaves no stale depth.
+  struct EventScope {
+    int& depth;
+    explicit EventScope(int& d) : depth(d) { ++depth; }
+    ~EventScope() { --depth; }
+  } scope(event_depth_);
   // Move the entry out before invoking it: the callback may call
   // drop_pending() or schedule new events, both of which mutate the heap.
   auto e = queue_.pop();

@@ -54,6 +54,10 @@ class Simulator {
   /// empty.
   bool step();
 
+  /// True while an event callback runs: whatever happens now (a release,
+  /// a free, a flow start) is event-driven, whoever advanced the clock.
+  [[nodiscard]] bool in_event() const { return event_depth_ > 0; }
+
   /// Runs events with timestamps <= \p t, then advances the clock to \p t.
   /// The horizon is re-checked against the live queue after every event,
   /// so events scheduled *by* events at exactly time t still run before
@@ -94,6 +98,7 @@ class Simulator {
   std::uint64_t seq_ = 0;
   std::uint64_t events_executed_ = 0;
   std::uint64_t logical_stamp_ = 0;
+  int event_depth_ = 0;  ///< nested step() callbacks now running
 };
 
 }  // namespace ssdtrain::sim

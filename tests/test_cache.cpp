@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "ssdtrain/core/offloader.hpp"
 #include "ssdtrain/core/tensor_cache.hpp"
@@ -433,7 +435,7 @@ class CacheRecorderTest : public CacheTest {
     auto cache = make_cache(cfg);
     rt::StepProgram program;
     rt::StepRecorder recorder(program, *node_.gpu(0).allocator,
-                              /*uses_cache=*/true);
+                              node_.simulator(), /*uses_cache=*/true);
     cache.set_trace_recorder(&recorder);
     cache.on_step_begin();
     body(cache, recorder);
@@ -456,6 +458,35 @@ TEST_F(CacheRecorderTest, SameTensorPackedInTwoMicroBatchesIsNotReplayable) {
   });
   EXPECT_FALSE(program.replayable);
   EXPECT_EQ(program.invalid_reason, "tensor id packed twice in one step");
+}
+
+TEST_F(CacheRecorderTest, FreeInsideASimulatorEventIsDeferredPastLastUse) {
+  using Kind = rt::StepProgram::OpKind;
+  const auto program = record([&](core::TensorCache&,
+                                  rt::StepRecorder& recorder) {
+    auto x = activation("x");
+    auto y = activation("y");
+    auto z = activation("z");
+    recorder.on_make_activation(x);
+    recorder.on_make_activation(y);
+    recorder.on_make_activation(z);
+    // The last handles die inside one event run by a plain step() call: x
+    // when the callback resets it, y when the callback's captures are
+    // destroyed.
+    node_.simulator().schedule_after(
+        0.0, [x = std::move(x), y = std::move(y)]() mutable { x.reset(); });
+    ASSERT_TRUE(node_.simulator().step());
+    // z dies outside any event: a synchronous drop at this position.
+  });
+  // x and y drop right after their last use (their allocations), not at
+  // the event's position after z's allocation; z drops where it died.
+  std::vector<std::pair<Kind, std::uint32_t>> ops;
+  for (const auto& op : program.ops) ops.emplace_back(op.kind, op.a);
+  const std::vector<std::pair<Kind, std::uint32_t>> expected = {
+      {Kind::alloc_activation, 0}, {Kind::drop_value, 0},
+      {Kind::alloc_activation, 1}, {Kind::drop_value, 1},
+      {Kind::alloc_activation, 2}, {Kind::drop_value, 2}};
+  EXPECT_EQ(ops, expected);
 }
 
 TEST_F(CacheRecorderTest, StepThatNeverReleasesIsNotReplayable) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "ssdtrain/sim/bandwidth_network.hpp"
@@ -66,6 +68,36 @@ TEST(Simulator, RunUntilAdvancesClockPastLastEvent) {
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(s.now(), 5.0);
   EXPECT_EQ(s.pending(), 1u);
+}
+
+TEST(Simulator, InEventHoldsExactlyWhileAnEventRuns) {
+  sim::Simulator s;
+  // Records in_event() when the closure owning it is destroyed.
+  struct Probe {
+    const sim::Simulator* sim = nullptr;
+    bool* seen = nullptr;
+    Probe(const sim::Simulator* s_, bool* seen_) : sim(s_), seen(seen_) {}
+    Probe(Probe&& o) noexcept
+        : sim(o.sim), seen(std::exchange(o.seen, nullptr)) {}
+    Probe(const Probe&) = delete;
+    ~Probe() {
+      if (seen != nullptr) *seen = sim->in_event();
+    }
+  };
+  bool inside = false;
+  bool at_destruction = false;
+  s.schedule_at(1.0, [&s, &inside, probe = Probe(&s, &at_destruction)] {
+    inside = s.in_event();
+  });
+  s.schedule_at(2.0, [] { throw std::runtime_error("event failed"); });
+  EXPECT_FALSE(s.in_event());
+  ASSERT_TRUE(s.step());
+  EXPECT_TRUE(inside);
+  // The callback's captures die inside the event, too.
+  EXPECT_TRUE(at_destruction);
+  EXPECT_FALSE(s.in_event());
+  EXPECT_THROW(s.step(), std::runtime_error);
+  EXPECT_FALSE(s.in_event());
 }
 
 TEST(Simulator, LogicalStampsStrictlyIncrease) {
